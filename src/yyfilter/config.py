@@ -39,6 +39,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -137,22 +138,33 @@ def load_config(path) -> ExperimentConfig:
             f"field [model] name: unknown model {name!r}; "
             f"valid names: {', '.join(_REGISTRY_NAMES)}"
         )
-    dim = _get(parser, "model", "dim", echo=False)
 
-    def need_float(section, key):
-        raw = _get(parser, section, key, echo=False)
+    def to_float(section, key, raw):
+        try:
+            v = float(raw)
+            if not math.isnan(v):
+                return v
+        except ValueError:
+            pass
+        raise ConfigError(f"field [{section}] {key}: not a number: {raw!r}")
+
+    def need_float(section, key, default=None, echo=True):
+        raw = _get(parser, section, key, default, echo=echo)
         if raw is None:
             raise ConfigError(f"field [{section}] {key} is required")
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"field [{section}] {key}: not a number: {raw!r}") from None
+        return to_float(section, key, raw)
 
-    def need_int(section, key):
-        v = need_float(section, key)
-        if v != int(v):
+    def need_floats(section, key, default):
+        raw = _get(parser, section, key, default)
+        return tuple(to_float(section, key, s.strip()) for s in raw.split(","))
+
+    def need_int(section, key, default=None, echo=True):
+        v = need_float(section, key, default, echo)
+        if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"field [{section}] {key} must be an integer")
         return int(v)
+
+    dim = need_int("model", "dim") if _get(parser, "model", "dim", echo=False) else None
 
     radius = need_float("grid", "radius")
     points = need_int("grid", "points")
@@ -168,7 +180,7 @@ def load_config(path) -> ExperimentConfig:
     if points < 5 or points % 2 == 0:
         raise ConfigError("field [grid] points must be an odd integer >= 5")
 
-    substeps = int(_get(parser, "filter", "substeps", "4"))
+    substeps = need_int("filter", "substeps", "4")
     if substeps < 1:
         raise ConfigError("field [filter] substeps must be >= 1")
     labels = tuple(
@@ -182,37 +194,33 @@ def load_config(path) -> ExperimentConfig:
     baseline = _get(parser, "baseline", "method", "kalman")
     if baseline not in ("kalman", "bootstrap_pf", "ks_monte_carlo"):
         raise ConfigError(f"field [baseline] method: unknown baseline {baseline!r}")
-    particles = int(_get(parser, "baseline", "particles", "10000"))
+    particles = need_int("baseline", "particles", "10000")
     if particles < 2:
         raise ConfigError("field [baseline] particles must be >= 2")
 
     sweep_axis = _get(parser, "sweep", "axis", "dt")
     if sweep_axis not in ("dt", "R"):
         raise ConfigError(f"field [sweep] axis must be dt or R, got {sweep_axis!r}")
-    sweep_values = tuple(
-        float(s) for s in _get(parser, "sweep", "values", "0.02, 0.01, 0.005").split(",")
-    )
-    sweep_dx = float(_get(parser, "sweep", "dx", "0.05"))
+    sweep_values = need_floats("sweep", "values", "0.02, 0.01, 0.005")
+    sweep_dx = need_float("sweep", "dx", "0.05")
     oracle = _get(parser, "sweep", "oracle", "kalman")
     if oracle not in ("kalman", "fine_oracle", "bootstrap_pf"):
         raise ConfigError(f"field [sweep] oracle: unknown oracle {oracle!r}")
     # err <= C*sqrt(dt) bounds the dt slope from below only, so the default band is one-sided.
-    band = tuple(
-        float(s) for s in _get(parser, "sweep", "slope_band", "0.35, inf").split(",")
-    )
+    band = need_floats("sweep", "slope_band", "0.35, inf")
     if len(band) != 2 or band[0] >= band[1]:
         raise ConfigError("field [sweep] slope_band must be two increasing numbers")
 
-    seed_base = int(_get(parser, "run", "seed_base", "0"))
-    seed_count = int(_get(parser, "run", "seeds", "50"))
+    seed_base = need_int("run", "seed_base", "0")
+    seed_count = need_int("run", "seeds", "50")
     if seed_count < 1:
         raise ConfigError("field [run] seeds must be >= 1")
     output_dir = _get(parser, "output", "directory", "out")
-    workers = int(_get(parser, "run", "workers", "1", echo=False))
+    workers = need_int("run", "workers", "1", echo=False)
 
     resolved = {
         "model.name": name,
-        "model.dim": dim or "",
+        "model.dim": "" if dim is None else dim,
         "grid.radius": radius,
         "grid.points": points,
         "schedule.terminal": terminal,
@@ -234,7 +242,7 @@ def load_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         model_name=name,
-        dim=int(dim) if dim else None,
+        dim=dim,
         grid_radius=radius,
         grid_points=points,
         terminal=terminal,

@@ -9,9 +9,12 @@ radii).  The generator discretizes
 
 with second-order central differences in conservative form: derivatives
 act on the products a^ij u and f_i u, evaluated at the source node of
-each stencil entry.  Time stepping is Crank-Nicolson; in 1D the tridiagonal
-systems are solved directly (banded), in 2D/3D by BiCGSTAB with diagonal
-preconditioning at relative residual 1e-10.
+each stencil entry.  Time stepping is Crank-Nicolson.  Its implicit side
+I - c A depends only on the generator and on c = dt / (2 substeps), so it
+is prepared once per generator and step size, on first use: in 1D an LU
+factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the
+left-hand-side CSR matrix and its Jacobi preconditioner for BiCGSTAB at
+relative residual 1e-10.
 
 Fields carry a log-scale factor: a DensityField represents
 exp(log_scale) * values, and integrals come back as (mantissa, log_scale)
@@ -22,12 +25,12 @@ in the filter loop, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .models import FilterModel, TestFunction, as_points
@@ -182,18 +185,30 @@ def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:
     return DensityField(grid, vals, 0.0)
 
 
+class _CNSystem(NamedTuple):
+    """The implicit side I - c A of a Crank-Nicolson stage, ready to solve.
+
+    `factors` is dgttrf's (dl, d, du, du2, ipiv) on 1D grids and
+    (lhs CSR matrix, inverse of its diagonal) on 2D/3D grids.
+    """
+
+    c: float
+    factors: tuple
+
+
 @dataclass(frozen=True)
 class DiscreteGenerator:
     """Sparse discretization of the per-step evolution operator.
 
-    Rows for boundary nodes are zero (Dirichlet).  For 1D grids the
-    three diagonals are kept alongside the CSR matrix so Crank-Nicolson
-    can use a direct banded solve.
+    Rows for boundary nodes are zero (Dirichlet).  `propagate` prepares the
+    Crank-Nicolson system for a step size on first use and keeps it in
+    `_cn`, one slot holding the last step size, so a run at fixed dt
+    factors once and the factors die with the generator.
     """
 
     grid: Grid
     matrix: sp.csr_matrix
-    tridiag: Optional[tuple] = None  # (lower, diag, upper) for dim == 1
+    _cn: Optional[_CNSystem] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
 
 def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
@@ -262,41 +277,42 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     ).tocsr()
-
-    tridiag = None
-    if d == 1:
-        lower = np.zeros(N)
-        main = np.zeros(N)
-        upper = np.zeros(N)
-        main[interior] = diag
-        upper[interior + 1] = a[interior + 1, 0, 0] / (2 * dx**2) - f[interior + 1, 0] / (2 * dx)
-        lower[interior - 1] = a[interior - 1, 0, 0] / (2 * dx**2) + f[interior - 1, 0] / (2 * dx)
-        tridiag = (lower, main, upper)
-
-    return DiscreteGenerator(grid=grid, matrix=mat, tridiag=tridiag)
+    return DiscreteGenerator(grid=grid, matrix=mat)
 
 
-def _cn_banded_step(gen: DiscreteGenerator, v: np.ndarray, c: float, n_steps: int) -> np.ndarray:
-    lower, main, upper = gen.tridiag
-    N = v.size
-    # solve_banded layout: ab[0] = superdiagonal, ab[1] = diagonal, ab[2] = subdiagonal.
-    ab = np.zeros((3, N))
-    ab[0, 1:] = -c * upper[1:]
-    ab[1] = 1.0 - c * main
-    ab[2, :-1] = -c * lower[:-1]
+def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
+    """The prepared I - c A of `gen`, rebuilt only when c differs from the cached one."""
+    cn = gen._cn
+    if cn is not None and cn.c == c:
+        return cn
     A = gen.matrix
+    if gen.grid.dim == 1:
+        *lu, info = lapack.dgttrf(-c * A.diagonal(-1), 1.0 - c * A.diagonal(), -c * A.diagonal(1))
+        if info > 0:
+            raise SolverError(f"Crank-Nicolson matrix is singular (dgttrf info={info})")
+        factors = tuple(lu)
+    else:
+        lhs = (sp.identity(A.shape[0], format="csr") - c * A).tocsr()
+        lhs_diag = lhs.diagonal()
+        if not np.all(lhs_diag):
+            raise SolverError("Crank-Nicolson matrix has a zero diagonal entry")
+        factors = (lhs, 1.0 / lhs_diag)
+    cn = _CNSystem(c, factors)
+    object.__setattr__(gen, "_cn", cn)
+    return cn
+
+
+def _cn_banded_step(gen: DiscreteGenerator, v: np.ndarray, cn: _CNSystem, n_steps: int):
+    A, c = gen.matrix, cn.c
     for _ in range(n_steps):
-        rhs = v + c * (A @ v)
-        v = solve_banded((1, 1), ab, rhs, check_finite=False)
+        v, _ = lapack.dgttrs(*cn.factors, v + c * (A @ v), overwrite_b=1)
     return v
 
 
-def _cn_krylov_step(gen: DiscreteGenerator, v: np.ndarray, c: float, n_steps: int) -> np.ndarray:
-    A = gen.matrix
-    N = v.size
-    lhs = (sp.identity(N, format="csr") - c * A).tocsr()
-    inv_diag = 1.0 / lhs.diagonal()
-    precond = LinearOperator((N, N), matvec=lambda x: inv_diag * x)
+def _cn_krylov_step(gen: DiscreteGenerator, v: np.ndarray, cn: _CNSystem, n_steps: int):
+    A, c = gen.matrix, cn.c
+    lhs, inv_diag = cn.factors
+    precond = LinearOperator(lhs.shape, matvec=lambda x: inv_diag * x)
     for _ in range(n_steps):
         rhs = v + c * (A @ v)
         v, info = bicgstab(lhs, rhs, x0=v, rtol=1e-10, atol=0.0, M=precond, maxiter=2000)
@@ -313,7 +329,8 @@ def propagate(
 ) -> DensityField:
     """Advance a field by dt with Crank-Nicolson over `substeps` stages.
 
-    Solves (I - c A) v_{j+1} = (I + c A) v_j with c = dt / (2 substeps).
+    Solves (I - c A) v_{j+1} = (I + c A) v_j with c = dt / (2 substeps),
+    reusing the generator's prepared I - c A while c stays the same.
     Negative undershoot is clamped to zero after the final stage and the
     removed mass is recorded on the result's `clamped_mass`.
     """
@@ -321,12 +338,12 @@ def propagate(
         raise ValueError("dt must be positive")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    c = dt / (2 * substeps)
+    cn = _cn_system(gen, dt / (2 * substeps))
     v = field.values.astype(float, copy=True)
-    if gen.tridiag is not None:
-        v = _cn_banded_step(gen, v, c, substeps)
+    if gen.grid.dim == 1:
+        v = _cn_banded_step(gen, v, cn, substeps)
     else:
-        v = _cn_krylov_step(gen, v, c, substeps)
+        v = _cn_krylov_step(gen, v, cn, substeps)
     if not np.all(np.isfinite(v)):
         raise SolverError("propagation produced non-finite values")
     neg = v < 0

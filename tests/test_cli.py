@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import textwrap
 
 import numpy as np
@@ -122,17 +123,16 @@ def test_cmd_baseline_kalman(tmp_path):
 def test_cmd_sweep_summary_json(tmp_path):
     cfg_path = _write(
         tmp_path,
-        BASE_CONFIG
-        + "\n[sweep]\naxis = dt\nvalues = 0.04, 0.02\noracle = kalman\n"
-        + "\n[run2]\n",
+        BASE_CONFIG + "\n[sweep]\naxis = dt\nvalues = 0.04, 0.02, 0.01\noracle = kalman\n",
     )
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", cfg_path, "--out", str(out)])
     payload = json.loads((out / "summary.json").read_text().splitlines()[1])
     assert "slope" in payload and "pass" in payload
+    assert np.isfinite(payload["slope"])
     assert (out / "sweep.csv").exists()
     assert (out / "sweep_long.csv").exists()
-    assert code in (0, 1)  # exit reflects the pass flags
+    assert code == (0 if payload["pass"] else 1)
 
 
 def test_cmd_validate_passes_for_registry(tmp_path):
@@ -145,6 +145,40 @@ def test_cmd_validate_passes_for_registry(tmp_path):
 def test_cli_bad_config_exit_code(tmp_path):
     cfg_path = _write(tmp_path, BASE_CONFIG.replace("steps = 10", "steps = 0"))
     assert main(["filter", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "section, line, field",
+    [
+        ("filter", "substeps = 4.5", "[filter] substeps"),
+        ("sweep", "slope_band = 0.35, nan", "[sweep] slope_band"),
+        ("sweep", "slope_band = 0.35, high", "[sweep] slope_band"),
+        ("model", "dim = two", "[model] dim"),
+        ("baseline", "particles = 1e4.5", "[baseline] particles"),
+        ("sweep", "values = 0.02, fast", "[sweep] values"),
+        ("sweep", "dx = wide", "[sweep] dx"),
+        ("run", "seed_base = 0.5", "[run] seed_base"),
+        ("run", "seeds = inf", "[run] seeds"),
+        ("run", "workers = nan", "[run] workers"),
+    ],
+)
+def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line, field):
+    key = line.split(" =")[0]
+    text = "".join(ln for ln in BASE_CONFIG.splitlines(True) if not ln.startswith(f"{key} ="))
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    else:
+        text += f"\n[{section}]\n{line}\n"
+    cfg_path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        load_config(cfg_path)
+    assert main(["filter", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_config_slope_band_keeps_infinite_upper_edge(tmp_path):
+    cfg = load_config(_write(tmp_path, BASE_CONFIG + "\n[sweep]\nslope_band = 0.35, inf\n"))
+    assert cfg.slope_band == (0.35, float("inf"))
 
 
 def test_cli_workers_env_fallback(tmp_path, monkeypatch):

@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
+import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.signal import convolve2d
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from yyfilter.models import (
     AssumptionProfile,
@@ -413,17 +416,11 @@ def test_heat_kernel_2d_krylov_path():
 
 
 def test_zero_generator_identity(linear1d, grid_1d_fine):
-    import scipy.sparse as sp
     from yyfilter.pde import DiscreteGenerator
 
     zero = DiscreteGenerator(
         grid=grid_1d_fine,
         matrix=sp.csr_matrix((grid_1d_fine.n_nodes, grid_1d_fine.n_nodes)),
-        tridiag=(
-            np.zeros(grid_1d_fine.n_nodes),
-            np.zeros(grid_1d_fine.n_nodes),
-            np.zeros(grid_1d_fine.n_nodes),
-        ),
     )
     field = discretize_initial(linear1d, grid_1d_fine)
     out = propagate(zero, field, 1.0, 3)
@@ -456,6 +453,80 @@ def test_propagate_validation(grid_1d_fine):
         propagate(gen, field, -1.0, 1)
     with pytest.raises(ValueError):
         propagate(gen, field, 0.1, 0)
+
+
+def _reference_propagate(gen, field, dt, substeps):
+    """Crank-Nicolson rebuilt at every call: per-call solve_banded in 1D and
+    a fresh I - c A with its Jacobi preconditioner in 2D/3D."""
+    A = gen.matrix
+    N = A.shape[0]
+    c = dt / (2 * substeps)
+    v = field.values.astype(float, copy=True)
+    if gen.grid.dim == 1:
+        ab = np.zeros((3, N))
+        ab[0, 1:] = -c * A.diagonal(1)
+        ab[1] = 1.0 - c * A.diagonal()
+        ab[2, :-1] = -c * A.diagonal(-1)
+        for _ in range(substeps):
+            v = solve_banded((1, 1), ab, v + c * (A @ v), check_finite=False)
+    else:
+        lhs = (sp.identity(N, format="csr") - c * A).tocsr()
+        inv_diag = 1.0 / lhs.diagonal()
+        precond = LinearOperator((N, N), matvec=lambda x: inv_diag * x)
+        for _ in range(substeps):
+            v, info = bicgstab(lhs, v + c * (A @ v), x0=v, rtol=1e-10, atol=0.0, M=precond,
+                               maxiter=2000)
+            assert info == 0
+    v[v < 0] = 0.0
+    v[gen.grid.boundary_mask] = 0.0
+    return DensityField(field.grid, v, field.log_scale)
+
+
+def test_cn_1d_cached_factors_match_per_call_banded_solve(grid_1d_fine):
+    m = builtin_model("cubic_sensor")
+    gen = assemble_generator(m, grid_1d_fine)
+    field = ref = discretize_initial(m, grid_1d_fine)
+    for _ in range(5):
+        field = propagate(gen, field, 0.01, 4)
+        ref = _reference_propagate(gen, ref, 0.01, 4)
+        np.testing.assert_array_equal(field.values, ref.values)
+
+
+def test_cn_2d_cached_lhs_matches_fresh_lhs():
+    m = builtin_model("linearNd", 2)
+    g = build_grid(2, 5.0, 31)
+    gen = assemble_generator(m, g)
+    field = ref = discretize_initial(m, g)
+    for _ in range(3):
+        field = propagate(gen, field, 0.01, 4)
+        ref = _reference_propagate(gen, ref, 0.01, 4)
+        assert_allclose(field.values, ref.values, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name, dim, points", [("linear1d", 1, 121), ("linearNd", 2, 31)])
+def test_cn_factors_follow_step_size(name, dim, points):
+    # dt, then dt', then dt again on one generator: every step must use
+    # factors for its own step size, never the stale ones of the last call.
+    m = builtin_model(name, dim)
+    g = build_grid(dim, 5.0, points)
+    shared = assemble_generator(m, g)
+    field = discretize_initial(m, g)
+    for dt in (0.02, 0.005, 0.02):
+        out = propagate(shared, field, dt, 2)
+        fresh = propagate(assemble_generator(m, g), field, dt, 2)
+        np.testing.assert_array_equal(out.values, fresh.values)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 21), (2, 11)])
+def test_singular_cn_matrix_raises_solver_error(dim, points):
+    from yyfilter.pde import DiscreteGenerator, SolverError
+
+    g = build_grid(dim, 2.0, points)
+    # dt = 1, one substep: c = 1/2, so I - c A = I - I = 0.
+    gen = DiscreteGenerator(grid=g, matrix=sp.identity(g.n_nodes, format="csr") * 2.0)
+    field = DensityField(g, np.where(g.boundary_mask, 0.0, 1.0))
+    with pytest.raises(SolverError):
+        propagate(gen, field, 1.0, 1)
 
 
 # ---------------------------------------------------------------------------
