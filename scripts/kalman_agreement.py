@@ -21,6 +21,7 @@ from yyfilter import (
     run_filter,
     simulate,
 )
+from yyfilter.tables import csv_table
 
 
 def main():
@@ -40,7 +41,6 @@ def main():
     schedule = TimeSchedule(args.terminal, args.steps)
     phi = [coordinate(0)]
 
-    rows = ["seed,mean_abs_gap"]
     started = time.time()
     gaps = []
     for seed in range(args.seeds):
@@ -50,10 +50,10 @@ def main():
         kal = kalman_filter(model, schedule, obs)
         gap = float(np.mean(np.abs(out.estimates[1:, 0] - kal.means[1:, 0])))
         gaps.append(gap)
-        rows.append(f"{seed},{gap!r}")
     target = Path(args.out)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(rows) + "\n")
+    seeds = [str(s) for s in range(args.seeds)]
+    target.write_text(csv_table(["seed", "mean_abs_gap"], [seeds, gaps]))
     print(f"mean over {args.seeds} seeds: {np.mean(gaps):.3e} "
           f"({time.time() - started:.1f}s) -> {target}")
 

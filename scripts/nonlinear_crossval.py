@@ -16,6 +16,7 @@ from yyfilter import (
     run_filter,
     simulate,
 )
+from yyfilter.tables import csv_table
 
 
 def main():
@@ -35,18 +36,20 @@ def main():
     schedule = TimeSchedule(1.0, args.steps)
     phi = [coordinate(0)]
 
-    rows = ["seed,mean_abs_gap,frac_within_3se"]
+    gaps, fracs = [], []
     for seed in range(args.seeds):
         _, obs = simulate(model, schedule, substeps=4, seed=seed)
         out = run_filter(model, grid, schedule, obs, phi, substeps=substeps)
         pf = bootstrap_pf(model, schedule, obs, phi, args.particles, seed=seed + 1000)
         diff = np.abs(out.estimates[1:, 0] - pf.estimates[1:, 0])
         frac = float(np.mean(diff <= 3 * np.maximum(pf.stderr[1:, 0], 1e-12)))
-        rows.append(f"{seed},{float(diff.mean())!r},{frac!r}")
+        gaps.append(diff.mean())
+        fracs.append(frac)
         print(f"seed {seed}: mean gap {diff.mean():.2e}, within 3se at {frac:.1%} of knots")
     target = Path(args.out)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(rows) + "\n")
+    seeds = [str(s) for s in range(args.seeds)]
+    target.write_text(csv_table(["seed", "mean_abs_gap", "frac_within_3se"], [seeds, gaps, fracs]))
     print(f"-> {target}")
 
 

@@ -22,6 +22,7 @@ from .filtering import FilterOutput, run_filter
 from .models import FilterModel, TestFunction, TimeSchedule
 from .pde import Grid, build_grid
 from .sde import ObservationPath, observation_increments, _rng_for
+from .tables import csv_table
 
 log = logging.getLogger("yyfilter")
 
@@ -63,17 +64,10 @@ class KalmanResult:
 
     def to_csv(self) -> str:
         d = self.means.shape[1]
-        header = ["t"] + [f"mean_{i + 1}" for i in range(d)] + [
-            f"var_{i + 1}" for i in range(d)
-        ]
-        lines = [",".join(header)]
-        knots = self.schedule.knots
-        for k in range(len(knots)):
-            row = [repr(float(knots[k]))]
-            row += [repr(float(v)) for v in self.means[k]]
-            row += [repr(float(self.covs[k, i, i])) for i in range(d)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            ["t", *(f"mean_{i + 1}" for i in range(d)), *(f"var_{i + 1}" for i in range(d))],
+            [self.schedule.knots, *self.means.T, *np.diagonal(self.covs, axis1=1, axis2=2).T],
+        )
 
 
 def _discrete_transition(F: np.ndarray, Q: np.ndarray, dt: float):
@@ -144,16 +138,10 @@ class ParticleResult:
         return self.stderr[:, self.labels.index(label)]
 
     def to_csv(self) -> str:
-        header = ["t", *self.labels, *[f"{lb}_stderr" for lb in self.labels], "ess"]
-        lines = [",".join(header)]
-        knots = self.schedule.knots
-        for k in range(len(knots)):
-            row = [repr(float(knots[k]))]
-            row += [repr(float(v)) for v in self.estimates[k]]
-            row += [repr(float(v)) for v in self.stderr[k]]
-            row.append(repr(float(self.ess[k])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            ["t", *self.labels, *(f"{lb}_stderr" for lb in self.labels), "ess"],
+            [self.schedule.knots, *self.estimates.T, *self.stderr.T, self.ess],
+        )
 
 
 def ks_monte_carlo(

@@ -22,7 +22,7 @@ from .baselines import bootstrap_pf, kalman_filter, ks_monte_carlo
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import convergence_sweep, radius_sweep
 from .filtering import run_filter
-from .models import TimeSchedule, builtin_model, validate_assumptions
+from .models import TimeSchedule, validate_assumptions
 from .pde import build_grid
 from .sde import paths_to_csv, simulate
 
@@ -42,10 +42,8 @@ def _write(cfg: ExperimentConfig, out_dir: Path, name: str, body: str) -> Path:
 
 
 def _setup(cfg: ExperimentConfig):
-    model = builtin_model(cfg.model_name, dim=cfg.dim)
-    grid = build_grid(model.dim, cfg.grid_radius, cfg.grid_points)
-    schedule = TimeSchedule(cfg.terminal, cfg.steps)
-    return model, grid, schedule
+    grid = build_grid(cfg.model.dim, cfg.grid_radius, cfg.grid_points)
+    return cfg.model, grid, TimeSchedule(cfg.terminal, cfg.steps)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -129,10 +127,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         }
 
     _write(cfg, out_dir, "sweep.csv", result.to_csv())
-    long_rows = ["axis,value,mean_err,stderr"]
-    for v, m, s in zip(result.values, result.mean_err, result.stderr):
-        long_rows.append(f"{result.axis},{float(v)!r},{float(m)!r},{float(s)!r}")
-    _write(cfg, out_dir, "sweep_long.csv", "\n".join(long_rows) + "\n")
     summary = result.summary_json(**flags)
     _write(cfg, out_dir, "summary.json", summary + "\n")
     log.info("sweep summary: %s", summary)
@@ -173,9 +167,12 @@ def main(argv=None) -> int:
         return 2
     if args.seed_base is not None:
         cfg.seed_base = args.seed_base
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("YYF_WORKERS", cfg.workers))
+    raw = os.environ.get("YYF_WORKERS", cfg.workers) if args.workers is None else args.workers
+    try:
+        workers = int(raw)
+    except ValueError:
+        print(f"error: YYF_WORKERS must be an integer, got {raw!r}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
     try:

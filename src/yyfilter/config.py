@@ -41,11 +41,12 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .models import (
+    FilterModel,
     TestFunction,
     _REGISTRY_NAMES,
+    builtin_model,
     coordinate,
     coordinate_product,
     squared_coordinate,
@@ -78,8 +79,7 @@ def _coord_index(token: str) -> int:
 
 @dataclass
 class ExperimentConfig:
-    model_name: str
-    dim: Optional[int]
+    model: FilterModel
     grid_radius: float
     grid_points: int
     terminal: float
@@ -165,6 +165,10 @@ def load_config(path) -> ExperimentConfig:
         return int(v)
 
     dim = need_int("model", "dim") if _get(parser, "model", "dim", echo=False) else None
+    try:
+        model = builtin_model(name, dim=dim)
+    except ValueError as exc:
+        raise ConfigError(f"field [model] dim: {exc}") from exc
 
     radius = need_float("grid", "radius")
     points = need_int("grid", "points")
@@ -202,6 +206,8 @@ def load_config(path) -> ExperimentConfig:
     if sweep_axis not in ("dt", "R"):
         raise ConfigError(f"field [sweep] axis must be dt or R, got {sweep_axis!r}")
     sweep_values = need_floats("sweep", "values", "0.02, 0.01, 0.005")
+    if not all(v > 0 for v in sweep_values):
+        raise ConfigError("field [sweep] values must all be positive")
     sweep_dx = need_float("sweep", "dx", "0.05")
     oracle = _get(parser, "sweep", "oracle", "kalman")
     if oracle not in ("kalman", "fine_oracle", "bootstrap_pf"):
@@ -241,8 +247,7 @@ def load_config(path) -> ExperimentConfig:
     raw_dump = "\n".join(f"{k}={v}" for k, v in sorted(resolved.items()))
 
     return ExperimentConfig(
-        model_name=name,
-        dim=dim,
+        model=model,
         grid_radius=radius,
         grid_points=points,
         terminal=terminal,

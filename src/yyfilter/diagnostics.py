@@ -27,9 +27,10 @@ import numpy as np
 
 from .baselines import bootstrap_pf, fine_oracle, kalman_filter
 from .filtering import run_filter
-from .models import FilterModel, TestFunction, TimeSchedule
-from .pde import DensityField, Grid, assemble_generator, build_grid, discretize_initial
+from .models import FilterModel, TestFunction, TimeSchedule, coordinate
+from .pde import DensityField, Grid, assemble_generator, build_grid, discretize_initial, propagate
 from .sde import simulate, subsample
+from .tables import csv_table
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -94,6 +95,30 @@ class MomentGrowthReport:
         return self.finite and self.stable
 
 
+def _seed_readouts(model, grid, gen, schedules, seed, substeps, stage, readout):
+    """One seed's per-knot readouts of the filter run on each schedule.
+
+    The path is simulated once, on the finest (last) schedule, and
+    subsampled to the others; `readout(field, y_prev)` sees each knot's
+    field at `stage`, with y_prev the observation at tau_{k-1}.
+    """
+    finest = schedules[-1]
+    _, obs_fine = simulate(model, finest, substeps=substeps, seed=seed)
+    levels = []
+    for sched in schedules:
+        obs = subsample(obs_fine, finest.steps // sched.steps)
+        rows = []
+
+        def hook(k, s, fld):
+            if s == stage:
+                rows.append(readout(fld, obs.values[k - 1]))
+
+        run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
+                   field_hook=hook)
+        levels.append(np.array(rows))
+    return levels
+
+
 def _unnormalized_log_moment(field: DensityField, weight_nodes: np.ndarray) -> float:
     w = field.grid.trap_weights
     val = float(np.dot(w, weight_nodes * field.values))
@@ -128,22 +153,15 @@ def moment_growth_check(
     log_init = _unnormalized_log_moment(init, weight_nodes)
     fine = schedule.refined(2)
 
+    per_seed = [
+        _seed_readouts(model, grid, gen, (schedule, fine), seed, substeps, "updated",
+                       lambda fld, _: _unnormalized_log_moment(fld, weight_nodes))
+        for seed in obs_seeds
+    ]
     log_ratios = []
-    for sched, stride in ((schedule, 2), (fine, 1)):
-        per_seed = np.empty((len(obs_seeds), sched.steps))
-        for s_idx, seed in enumerate(obs_seeds):
-            _, obs_fine = simulate(model, fine, substeps=substeps, seed=seed)
-            obs = obs_fine if stride == 1 else subsample(obs_fine, stride)
-            logs = np.empty(sched.steps)
-
-            def hook(k, stage, fld, logs=logs):
-                if stage == "updated":
-                    logs[k - 1] = _unnormalized_log_moment(fld, weight_nodes)
-
-            run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
-                       field_hook=hook)
-            per_seed[s_idx] = logs
-        knot_means = np.array([_logmeanexp(per_seed[:, k]) for k in range(sched.steps)])
+    for level in range(2):
+        logs = np.array([ps[level] for ps in per_seed])  # (seeds, steps)
+        knot_means = np.array([_logmeanexp(logs[:, k]) for k in range(logs.shape[1])])
         log_ratios.append(float(np.max(knot_means)) - log_init)
 
     T = schedule.terminal
@@ -220,26 +238,16 @@ def l4_stability_check(
 
     gen = assemble_generator(model, grid)
     h_nodes = np.asarray(model.observation(grid.coords), dtype=float)
-    finest = schedules[-1]
+    per_seed = [
+        _seed_readouts(model, grid, gen, schedules, seed, substeps, "propagated",
+                       lambda fld, y_prev: _reconstructed_log_norms(fld, h_nodes, y_prev))
+        for seed in obs_seeds
+    ]
     sup_l2, sup_l4 = [], []
-    for sched in schedules:
-        stride = finest.steps // sched.steps
-        per_seed_l2 = np.empty((len(obs_seeds), sched.steps))
-        per_seed_l4 = np.empty((len(obs_seeds), sched.steps))
-        for s_idx, seed in enumerate(obs_seeds):
-            _, obs_fine = simulate(model, finest, substeps=substeps, seed=seed)
-            obs = obs_fine if stride == 1 else subsample(obs_fine, stride)
-            yvals = obs.values
-
-            def hook(k, stage, fld, yvals=yvals, l2=per_seed_l2[s_idx], l4=per_seed_l4[s_idx]):
-                if stage == "propagated":
-                    a, b = _reconstructed_log_norms(fld, h_nodes, yvals[k - 1])
-                    l2[k - 1], l4[k - 1] = a, b
-
-            run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
-                       field_hook=hook)
-        l2_knots = np.array([_logmeanexp(per_seed_l2[:, k]) for k in range(sched.steps)])
-        l4_knots = np.array([_logmeanexp(per_seed_l4[:, k]) for k in range(sched.steps)])
+    for level, sched in enumerate(schedules):
+        norms = np.array([ps[level] for ps in per_seed])  # (seeds, steps, 2)
+        l2_knots = np.array([_logmeanexp(norms[:, k, 0]) for k in range(sched.steps)])
+        l4_knots = np.array([_logmeanexp(norms[:, k, 1]) for k in range(sched.steps)])
         sup_l2.append(math.exp(float(np.max(l2_knots))))
         sup_l4.append(math.exp(float(np.max(l4_knots))))
 
@@ -332,8 +340,6 @@ def quartic_growth_profile(
     Returns (times, values) with values[0] taken from the mollified
     initial density; used for deterministic growth-envelope checks.
     """
-    from .pde import propagate
-
     gen = assemble_generator(model, grid)
     field = discretize_initial(model, grid)
     w = grid.trap_weights
@@ -366,12 +372,11 @@ class SweepResult:
     extras: dict = dc_field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["axis,value,mean_err,stderr,n"]
-        for v, m, s in zip(self.values, self.mean_err, self.stderr):
-            lines.append(
-                f"{self.axis},{float(v)!r},{float(m)!r},{float(s)!r},{self.n}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = len(self.values)
+        return csv_table(
+            ["axis", "value", "mean_err", "stderr", "n"],
+            [[self.axis] * rows, self.values, self.mean_err, self.stderr, [str(self.n)] * rows],
+        )
 
     def summary_json(self, **flags) -> str:
         payload = {
@@ -403,13 +408,12 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray):
     return float(beta[1]), 1.96 * math.sqrt(cov[1, 1])
 
 
-def _check_aggregation_linearity(per_seed_knot_means, per_seed_matrices):
-    # Mean over knots then seeds must match mean over seeds then knots.
-    for mat, km in zip(per_seed_matrices, per_seed_knot_means):
-        lhs = float(np.mean(km))
-        rhs = float(np.mean(np.mean(mat, axis=0)))
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-            raise AssertionError("error aggregation is not linear; implementation bug")
+def _seed_map(fn, tasks, workers: int) -> list:
+    """fn over the per-seed tasks, in a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _kalman_readout(result, label: str) -> np.ndarray:
@@ -484,8 +488,6 @@ def convergence_sweep(
     standard errors over seeds and the fitted log-log slope (NaN,
     flagged in the summary, when fewer than two levels are given).
     """
-    from .models import coordinate
-
     deltas = sorted(float(d) for d in deltas)[::-1]  # descending
     if oracle == "kalman" and model.linear is None:
         raise ValueError("kalman oracle requires a linear model")
@@ -504,18 +506,12 @@ def convergence_sweep(
          sim_substeps, oracle_particles, oracle_refine)
         for seed in seeds
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(_convergence_seed_errors, tasks))
-    else:
-        per_seed = [_convergence_seed_errors(t) for t in tasks]
+    per_seed = _seed_map(_convergence_seed_errors, tasks, workers)
 
     mean_err = np.empty(len(deltas))
     stderr = np.empty(len(deltas))
     for j in range(len(deltas)):
-        mats = [ps[j] for ps in per_seed]
-        knot_means = np.array([float(np.mean(m)) for m in mats])
-        _check_aggregation_linearity(knot_means[:, None], [m[:, None] for m in mats])
+        knot_means = np.array([float(np.mean(ps[j])) for ps in per_seed])
         mean_err[j] = float(np.mean(knot_means))
         stderr[j] = float(np.std(knot_means, ddof=1) / math.sqrt(len(knot_means)))
 
@@ -576,8 +572,6 @@ def radius_sweep(
     at r = each sweep radius (its own inscribed radius would sit exactly
     on its Dirichlet nodes), averaged over knots and seeds.
     """
-    from .models import coordinate
-
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2:
         raise ValueError("need at least 2 radii")
@@ -588,11 +582,7 @@ def radius_sweep(
 
     tasks = [(model, schedule, tuple(radii), dx, seed, phi, substeps, sim_substeps)
              for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_radius_seed_task, tasks))
-    else:
-        results = [_radius_seed_task(t) for t in tasks]
+    results = _seed_map(_radius_seed_task, tasks, workers)
 
     err_matrix = np.array([r[0] for r in results])  # (seeds, radii)
     tail_matrix = np.array([r[1] for r in results])

@@ -27,10 +27,15 @@ from .pde import (
     propagate,
 )
 from .sde import ObservationPath, observation_increments
+from .tables import csv_table
 
 
 class MassCollapseError(RuntimeError):
     """Field mass underflowed or clamping removed too much mass."""
+
+
+# Largest share of the field mass one propagation step may clamp away.
+CLAMP_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,16 +54,10 @@ class FilterOutput:
         return self.estimates[:, self.labels.index(label)]
 
     def to_csv(self) -> str:
-        header = ["t", *self.labels, "mass_log_scale", "clamped_mass"]
-        lines = [",".join(header)]
-        knots = self.schedule.knots
-        for k in range(len(knots)):
-            row = [repr(float(knots[k]))]
-            row += [repr(float(v)) for v in self.estimates[k]]
-            row.append(repr(float(self.mass_log_scale[k])))
-            row.append(repr(float(self.clamped_mass[k])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            ["t", *self.labels, "mass_log_scale", "clamped_mass"],
+            [self.schedule.knots, *self.estimates.T, self.mass_log_scale, self.clamped_mass],
+        )
 
 
 def estimate(field: DensityField, phi: TestFunction) -> float:
@@ -81,10 +80,8 @@ def run_filter(
     obs: ObservationPath,
     test_functions: Sequence[TestFunction],
     substeps: int = 4,
-    renormalize: bool = True,
     generator: Optional[DiscreteGenerator] = None,
     field_hook: Optional[Callable[[int, str, DensityField], None]] = None,
-    clamp_tolerance: float = 1e-8,
 ) -> FilterOutput:
     """Run the two-stage recursion over the whole observation path.
 
@@ -96,7 +93,7 @@ def run_filter(
 
     Raises MassCollapseError if the mantissa mass drops below 1e-300
     before renormalization or if a propagation step clamps more than
-    `clamp_tolerance` of the field mass.
+    CLAMP_TOLERANCE of the field mass.
     """
     if obs.schedule.steps != schedule.steps or obs.schedule.terminal != schedule.terminal:
         raise ValueError("observation path is on a different schedule")
@@ -131,10 +128,10 @@ def run_filter(
 
     for k in range(1, K + 1):
         field = propagate(gen, field, dt, substeps)
-        if field.clamped_mass > clamp_tolerance * mass:
+        if field.clamped_mass > CLAMP_TOLERANCE * mass:
             raise MassCollapseError(
                 f"clamped negative mass {field.clamped_mass:.3e} exceeds "
-                f"{clamp_tolerance:g} of field mass at knot {k}"
+                f"{CLAMP_TOLERANCE:g} of field mass at knot {k}"
             )
         if field_hook is not None:
             field_hook(k, "propagated", field)
@@ -142,11 +139,10 @@ def run_filter(
         if field_hook is not None:
             field_hook(k, "updated", field)
         mass = record(k, field)
-        if renormalize:
-            field = DensityField(
-                grid, field.values / mass, field.log_scale + np.log(mass), field.clamped_mass
-            )
-            mass = 1.0
+        field = DensityField(
+            grid, field.values / mass, field.log_scale + np.log(mass), field.clamped_mass
+        )
+        mass = 1.0
 
     return FilterOutput(
         schedule=schedule,

@@ -22,7 +22,7 @@ second-order finite differences to them and this is assumed, not checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -268,17 +268,16 @@ _REGISTRY_NAMES = ("linear1d", "linearNd", "benes", "cubic_sensor")
 def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
     """Look up a benchmark model by name.
 
-    `dim` applies only to "linearNd" (default 2).  Raises RegistryError
-    listing the valid names when the name is unknown.
+    `dim` applies only to "linearNd" (2 or 3, default 2); the other models
+    are one-dimensional.  Raises RegistryError listing the valid names when
+    the name is unknown, and ValueError for a dim the model does not have.
     """
     if name not in _REGISTRY_NAMES:
         raise RegistryError(
             f"unknown model {name!r}; valid names: {', '.join(_REGISTRY_NAMES)}"
         )
 
-    if name == "linear1d":
-        d = 1
-    elif name == "linearNd":
+    if name == "linearNd":
         d = 2 if dim is None else int(dim)
         if not 2 <= d <= 3:
             raise ValueError("linearNd supports dim in {2, 3}")
@@ -333,11 +332,6 @@ def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
         assumptions=profile,
         initial_sampler=partial(_std_normal_sampler, d=1),
     )
-
-
-def with_observation(model: FilterModel, observation, name_suffix: str = "custom_h") -> FilterModel:
-    """Model variant with a replaced observation map (e.g. h == 0)."""
-    return replace(model, name=f"{model.name}:{name_suffix}", observation=observation, linear=None)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .models import FilterModel, TestFunction, as_points
+from .tables import csv_table
 
 
 class AssemblyError(ValueError):
@@ -161,16 +162,12 @@ class DensityField:
     def mass(self) -> ScaledValue:
         return integrate(self, None)
 
-    def represented(self) -> np.ndarray:
-        return self.values * math.exp(self.log_scale)
-
     def to_csv(self) -> str:
-        lines = [f"# log_scale={self.log_scale!r}"]
-        cols = [f"x_{i + 1}" for i in range(self.grid.dim)] + ["value"]
-        lines.append(",".join(cols))
-        for pt, v in zip(self.grid.coords, self.values):
-            lines.append(",".join([repr(float(c)) for c in pt] + [repr(float(v))]))
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            [*(f"x_{i + 1}" for i in range(self.grid.dim)), "value"],
+            [*self.grid.coords.T, self.values],
+            comment=f"log_scale={float(self.log_scale)!r}",
+        )
 
 
 def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FilterModel, TimeSchedule, as_points
+from .tables import csv_table
 
 
 class SimulationError(RuntimeError):
@@ -107,15 +108,10 @@ def subsample(path, stride: int):
 
 def paths_to_csv(state: StatePath, obs: ObservationPath) -> str:
     d = state.values.shape[1]
-    header = ["t"] + [f"X_{i + 1}" for i in range(d)] + [f"Y_{i + 1}" for i in range(d)]
-    lines = [",".join(header)]
-    knots = state.schedule.knots
-    for k in range(len(knots)):
-        row = [repr(float(knots[k]))]
-        row += [repr(float(v)) for v in state.values[k]]
-        row += [repr(float(v)) for v in obs.values[k]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return csv_table(
+        ["t", *(f"X_{i + 1}" for i in range(d)), *(f"Y_{i + 1}" for i in range(d))],
+        [state.schedule.knots, *state.values.T, *obs.values.T],
+    )
 
 
 def paths_from_csv(text: str) -> tuple[StatePath, ObservationPath]:

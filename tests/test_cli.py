@@ -131,7 +131,7 @@ def test_cmd_sweep_summary_json(tmp_path):
     assert "slope" in payload and "pass" in payload
     assert np.isfinite(payload["slope"])
     assert (out / "sweep.csv").exists()
-    assert (out / "sweep_long.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "sweep.csv"]
     assert code == (0 if payload["pass"] else 1)
 
 
@@ -154,8 +154,12 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("sweep", "slope_band = 0.35, nan", "[sweep] slope_band"),
         ("sweep", "slope_band = 0.35, high", "[sweep] slope_band"),
         ("model", "dim = two", "[model] dim"),
+        ("model", "dim = 2", "[model] dim"),
+        ("model", "name = linearNd\ndim = 5", "[model] dim"),
         ("baseline", "particles = 1e4.5", "[baseline] particles"),
         ("sweep", "values = 0.02, fast", "[sweep] values"),
+        ("sweep", "values = 0.02, 0", "[sweep] values"),
+        ("sweep", "values = -0.01", "[sweep] values"),
         ("sweep", "dx = wide", "[sweep] dx"),
         ("run", "seed_base = 0.5", "[run] seed_base"),
         ("run", "seeds = inf", "[run] seeds"),
@@ -186,6 +190,13 @@ def test_cli_workers_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("YYF_WORKERS", "1")
     out = tmp_path / "envout"
     assert main(["filter", "--config", cfg_path, "--out", str(out)]) == 0
+
+
+def test_cli_malformed_workers_env_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    cfg_path = _write(tmp_path, BASE_CONFIG)
+    monkeypatch.setenv("YYF_WORKERS", "two")
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    assert "YYF_WORKERS" in capsys.readouterr().err
 
 
 DEMO_SWEEP_CONFIG = """\

@@ -1,0 +1,42 @@
+"""Smoke tests: each experiment script runs on tiny inputs and writes its CSV."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args, header, rows",
+    [
+        ("kalman_agreement.py", ["--seeds", "2", "--steps", "20", "--points", "61"],
+         "seed,mean_abs_gap", 2),
+        ("convergence_rate.py",
+         ["--deltas", "0.1,0.05", "--terminal", "0.2", "--seeds", "2", "--points", "61"],
+         "axis,value,mean_err,stderr,n", 2),
+        # the script fixes its grid at 241 points
+        ("nonlinear_crossval.py", ["--seeds", "2", "--steps", "20", "--particles", "500"],
+         "seed,mean_abs_gap,frac_within_3se", 2),
+        ("radius_truncation.py",
+         ["--radii", "3,4.5,6", "--dx", "0.25", "--seeds", "2", "--steps", "20"],
+         "axis,value,mean_err,stderr,n", 3),
+    ],
+)
+def test_script_writes_its_table(tmp_path, script, args, header, rows):
+    out = tmp_path / "table.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
