@@ -14,7 +14,6 @@ def main():
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--terminal", type=float, default=1.0)
     ap.add_argument("--points", type=int, default=241)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="out/convergence.csv")
     args = ap.parse_args()
 
@@ -23,7 +22,7 @@ def main():
     deltas = [float(s) for s in args.deltas.split(",")]
     res = convergence_sweep(
         model, grid, args.terminal, deltas, list(range(args.seeds)),
-        oracle="kalman", phi=coordinate(0), workers=args.workers,
+        oracle="kalman", phi=coordinate(0),
     )
     target = Path(args.out)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,6 @@ def main():
     ap.add_argument("--dx", type=float, default=0.05)
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--steps", type=int, default=200)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="out/radius.csv")
     args = ap.parse_args()
 
@@ -26,7 +25,7 @@ def main():
     radii = [float(s) for s in args.radii.split(",")]
     res = radius_sweep(
         model, schedule, radii, dx=args.dx, seeds=list(range(args.seeds)),
-        phi=coordinate(0), workers=args.workers,
+        phi=coordinate(0),
     )
     target = Path(args.out)
     target.parent.mkdir(parents=True, exist_ok=True)

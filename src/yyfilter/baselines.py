@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,13 +44,15 @@ class WeightedEnsemble:
         return w / w.sum()
 
     def ess(self) -> float:
-        w = self.normalized_weights()
-        return 1.0 / float(np.sum(w**2))
+        return _ess(self.normalized_weights())
 
 
-def _weighted_readout(ensemble: WeightedEnsemble, phi_vals: np.ndarray):
-    """Self-normalized estimate and its asymptotic standard error."""
-    w = ensemble.normalized_weights()
+def _ess(w: np.ndarray) -> float:
+    return 1.0 / float(np.sum(w**2))
+
+
+def _weighted_readout(w: np.ndarray, phi_vals: np.ndarray):
+    """Self-normalized estimate and its asymptotic standard error under weights w."""
     est = float(np.dot(w, phi_vals))
     se = float(np.sqrt(np.sum((w * (phi_vals - est)) ** 2)))
     return est, se
@@ -84,17 +86,24 @@ def _discrete_transition(F: np.ndarray, Q: np.ndarray, dt: float):
 
 
 def kalman_filter(
-    model: FilterModel, schedule: TimeSchedule, obs: ObservationPath
-) -> KalmanResult:
+    model: FilterModel,
+    schedule: TimeSchedule,
+    obs: Union[ObservationPath, Sequence[ObservationPath]],
+) -> Union[KalmanResult, list[KalmanResult]]:
     """Continuous-discrete Kalman recursion for a linear-Gaussian model.
 
     Moments propagate exactly over each knot interval (closed-form matrix
     exponential); the measurement update treats dY_k as a discrete
     observation of H x dt with noise covariance dt I — the standard
-    first-order reduction of the integrated-observation model.
+    first-order reduction of the integrated-observation model.  Given a
+    sequence of paths, the covariance and gain recursion runs once (it
+    does not depend on the path), the means advance as one (S, d) matrix,
+    and the result is one KalmanResult per path.
     """
     if model.linear is None:
         raise ValueError(f"model {model.name!r} is not declared linear")
+    single = isinstance(obs, ObservationPath)
+    paths = [obs] if single else list(obs)
     lin = model.linear
     d = model.dim
     F, H = lin.drift_matrix, lin.observation_matrix
@@ -105,22 +114,23 @@ def kalman_filter(
     Rn = dt * np.eye(d)
 
     K = schedule.steps
-    means = np.empty((K + 1, d))
+    means = np.empty((len(paths), K + 1, d))
     covs = np.empty((K + 1, d, d))
-    m, P = lin.prior_mean.copy(), lin.prior_cov.copy()
-    means[0], covs[0] = m, P
-    dys = observation_increments(obs)
+    m, P = np.tile(lin.prior_mean, (len(paths), 1)), lin.prior_cov.copy()
+    means[:, 0], covs[0] = m, P
+    dys = np.stack([observation_increments(p) for p in paths], axis=1)  # (K, S, d)
     eye = np.eye(d)
     for k in range(1, K + 1):
-        m = Ad @ m
+        m = m @ Ad.T
         P = Ad @ P @ Ad.T + Qd
         S = C @ P @ C.T + Rn
         gain = np.linalg.solve(S.T, (P @ C.T).T).T
-        m = m + gain @ (dys[k - 1] - C @ m)
+        m = m + (dys[k - 1] - m @ C.T) @ gain.T
         P = (eye - gain @ C) @ P
         P = 0.5 * (P + P.T)
-        means[k], covs[k] = m, P
-    return KalmanResult(schedule, means, covs)
+        means[:, k], covs[k] = m, P
+    results = [KalmanResult(schedule, mv, covs) for mv in means]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)
@@ -178,10 +188,10 @@ def ks_monte_carlo(
     ess_arr = np.empty(K + 1)
 
     def record(k):
-        ens = WeightedEnsemble(x, logw)
+        w = WeightedEnsemble(x, logw).normalized_weights()
         for j, phi in enumerate(test_functions):
-            est[k, j], serr[k, j] = _weighted_readout(ens, phi(x))
-        ess_arr[k] = ens.ess()
+            est[k, j], serr[k, j] = _weighted_readout(w, phi(x))
+        ess_arr[k] = _ess(w)
 
     record(0)
     sq = np.sqrt(dt)
@@ -250,12 +260,12 @@ def bootstrap_pf(
             ) * sq
             h = model.observation(x)
             logw = logw + h @ dys[k - 1] - 0.5 * np.sum(h**2, axis=1) * dt
-        ens = WeightedEnsemble(x, logw)
+        w = WeightedEnsemble(x, logw).normalized_weights()
         for j, phi in enumerate(test_functions):
-            est[k, j], serr[k, j] = _weighted_readout(ens, phi(x))
-        ess_arr[k] = ens.ess()
+            est[k, j], serr[k, j] = _weighted_readout(w, phi(x))
+        ess_arr[k] = _ess(w)
         if k > 0 and ess_arr[k] < n_particles / 2:
-            idx = _systematic_resample(ens.normalized_weights(), rng)
+            idx = _systematic_resample(w, rng)
             x = x[idx]
             logw = np.zeros(n_particles)
     return ParticleResult(
@@ -267,18 +277,18 @@ def fine_oracle(
     model: FilterModel,
     grid: Grid,
     fine_schedule: TimeSchedule,
-    fine_obs: ObservationPath,
+    fine_obs: Union[ObservationPath, Sequence[ObservationPath]],
     test_functions: Sequence[TestFunction],
     coarse_steps: int,
     space_refine: int = 2,
     substeps: int = 4,
-) -> np.ndarray:
+) -> Union[np.ndarray, list[np.ndarray]]:
     """Self-oracle: the grid filter at refined dt and mesh, read at coarse knots.
 
     `fine_schedule`/`fine_obs` carry the refined run; the estimate array
-    returned has shape (coarse_steps + 1, n_phi).  With a time refinement
-    of 1 and space_refine of 1 this is exactly run_filter on the coarse
-    problem.
+    returned has shape (coarse_steps + 1, n_phi), one per path when
+    `fine_obs` is a sequence.  With a time refinement of 1 and
+    space_refine of 1 this is exactly run_filter on the coarse problem.
     """
     if space_refine < 1:
         raise ValueError("space_refine must be >= 1")
@@ -291,4 +301,6 @@ def fine_oracle(
         else build_grid(grid.dim, grid.radius, space_refine * (grid.points_per_axis - 1) + 1)
     )
     out = run_filter(model, fine_grid, fine_schedule, fine_obs, test_functions, substeps)
-    return out.estimates[::stride]
+    if isinstance(out, FilterOutput):
+        return out.estimates[::stride]
+    return [o.estimates[::stride] for o in out]

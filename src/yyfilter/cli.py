@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -48,18 +47,17 @@ def _setup(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     model, _, schedule = _setup(cfg)
-    for seed in cfg.seeds:
-        xs, ys = simulate(model, schedule, substeps=cfg.substeps, seed=seed)
+    pairs = simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)
+    for seed, (xs, ys) in zip(cfg.seeds, pairs):
         _write(cfg, out_dir, f"paths_s{seed}.csv", paths_to_csv(xs, ys))
     return 0
 
 
 def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
     model, grid, schedule = _setup(cfg)
-    phis = cfg.test_functions()
-    for seed in cfg.seeds:
-        _, ys = simulate(model, schedule, substeps=cfg.substeps, seed=seed)
-        out = run_filter(model, grid, schedule, ys, phis, substeps=cfg.substeps)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
+    outs = run_filter(model, grid, schedule, obs, cfg.test_functions(), substeps=cfg.substeps)
+    for seed, out in zip(cfg.seeds, outs):
         _write(cfg, out_dir, f"filter_s{seed}.csv", out.to_csv())
     return 0
 
@@ -67,21 +65,24 @@ def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
     model, _, schedule = _setup(cfg)
     phis = cfg.test_functions()
-    for seed in cfg.seeds:
-        _, ys = simulate(model, schedule, substeps=cfg.substeps, seed=seed)
-        if cfg.baseline == "kalman":
-            res = kalman_filter(model, schedule, ys)
-        elif cfg.baseline == "bootstrap_pf":
-            res = bootstrap_pf(model, schedule, ys, phis, cfg.particles, seed=seed)
-        else:
-            res = ks_monte_carlo(
-                model, schedule, ys, phis, cfg.particles, substeps=cfg.substeps, seed=seed
-            )
+    obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
+    if cfg.baseline == "kalman":
+        results = kalman_filter(model, schedule, obs)
+    elif cfg.baseline == "bootstrap_pf":
+        results = [bootstrap_pf(model, schedule, ys, phis, cfg.particles, seed=seed)
+                   for seed, ys in zip(cfg.seeds, obs)]
+    else:
+        results = [
+            ks_monte_carlo(model, schedule, ys, phis, cfg.particles, substeps=cfg.substeps,
+                           seed=seed)
+            for seed, ys in zip(cfg.seeds, obs)
+        ]
+    for seed, res in zip(cfg.seeds, results):
         _write(cfg, out_dir, f"{cfg.baseline}_s{seed}.csv", res.to_csv())
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     model, grid, schedule = _setup(cfg)
     phi = cfg.test_functions()[0]
     if cfg.sweep_axis == "dt":
@@ -95,7 +96,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             phi=phi,
             substeps=cfg.substeps,
             oracle_particles=cfg.particles,
-            workers=workers,
         )
         lo, hi = cfg.slope_band
         flags = {
@@ -115,7 +115,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             cfg.seeds,
             phi=phi,
             substeps=cfg.substeps,
-            workers=workers,
         )
         flags = {
             "error_monotone_in_R": bool(
@@ -152,8 +151,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["simulate", "filter", "baseline", "sweep", "validate"])
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: YYF_WORKERS or 1)")
     parser.add_argument("--seed-base", type=int, default=None, help="override seed base")
     args = parser.parse_args(argv)
 
@@ -167,12 +164,6 @@ def main(argv=None) -> int:
         return 2
     if args.seed_base is not None:
         cfg.seed_base = args.seed_base
-    raw = os.environ.get("YYF_WORKERS", cfg.workers) if args.workers is None else args.workers
-    try:
-        workers = int(raw)
-    except ValueError:
-        print(f"error: YYF_WORKERS must be an integer, got {raw!r}", file=sys.stderr)
-        return 2
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
     try:
@@ -183,7 +174,7 @@ def main(argv=None) -> int:
         if args.command == "baseline":
             return cmd_baseline(cfg, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, workers)
+            return cmd_sweep(cfg, out_dir)
         return cmd_validate(cfg, out_dir)
     except Exception as exc:  # surface module errors as clean nonzero exits
         print(f"error: {exc}", file=sys.stderr)

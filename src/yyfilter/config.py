@@ -96,7 +96,6 @@ class ExperimentConfig:
     seed_base: int
     seed_count: int
     output_dir: str
-    workers: int
     raw_dump: str = field(repr=False, default="")
 
     @property
@@ -139,14 +138,14 @@ def load_config(path) -> ExperimentConfig:
             f"valid names: {', '.join(_REGISTRY_NAMES)}"
         )
 
-    def to_float(section, key, raw):
+    def to_float(section, key, raw, finite=True):
         try:
             v = float(raw)
-            if not math.isnan(v):
+            if math.isfinite(v) or not (finite or math.isnan(v)):
                 return v
         except ValueError:
             pass
-        raise ConfigError(f"field [{section}] {key}: not a number: {raw!r}")
+        raise ConfigError(f"field [{section}] {key}: not a finite number: {raw!r}")
 
     def need_float(section, key, default=None, echo=True):
         raw = _get(parser, section, key, default, echo=echo)
@@ -154,13 +153,13 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"field [{section}] {key} is required")
         return to_float(section, key, raw)
 
-    def need_floats(section, key, default):
+    def need_floats(section, key, default, finite=True):
         raw = _get(parser, section, key, default)
-        return tuple(to_float(section, key, s.strip()) for s in raw.split(","))
+        return tuple(to_float(section, key, s.strip(), finite) for s in raw.split(","))
 
     def need_int(section, key, default=None, echo=True):
         v = need_float(section, key, default, echo)
-        if not math.isfinite(v) or v != int(v):
+        if v != int(v):
             raise ConfigError(f"field [{section}] {key} must be an integer")
         return int(v)
 
@@ -213,16 +212,17 @@ def load_config(path) -> ExperimentConfig:
     if oracle not in ("kalman", "fine_oracle", "bootstrap_pf"):
         raise ConfigError(f"field [sweep] oracle: unknown oracle {oracle!r}")
     # err <= C*sqrt(dt) bounds the dt slope from below only, so the default band is one-sided.
-    band = need_floats("sweep", "slope_band", "0.35, inf")
-    if len(band) != 2 or band[0] >= band[1]:
-        raise ConfigError("field [sweep] slope_band must be two increasing numbers")
+    band = need_floats("sweep", "slope_band", "0.35, inf", finite=False)
+    if len(band) != 2 or not math.isfinite(band[0]) or band[0] >= band[1]:
+        raise ConfigError(
+            "field [sweep] slope_band must be two increasing numbers, the first finite"
+        )
 
     seed_base = need_int("run", "seed_base", "0")
     seed_count = need_int("run", "seeds", "50")
     if seed_count < 1:
         raise ConfigError("field [run] seeds must be >= 1")
     output_dir = _get(parser, "output", "directory", "out")
-    workers = need_int("run", "workers", "1", echo=False)
 
     resolved = {
         "model.name": name,
@@ -264,6 +264,5 @@ def load_config(path) -> ExperimentConfig:
         seed_base=seed_base,
         seed_count=seed_count,
         output_dir=output_dir,
-        workers=workers,
         raw_dump=raw_dump,
     )

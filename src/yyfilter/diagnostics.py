@@ -11,15 +11,15 @@ radius_sweep                  estimate drift and tail mass across domain radii
 Expectations over observation paths are Monte-Carlo averages over
 simulated (state, observation) pairs with reported standard errors; the
 one-step exponential-moment check draws its Gaussian increments directly.
-Sweeps are reproducible bit-for-bit from their seed lists and can run
-their (value, seed) cells in a process pool.
+Every seed's path goes through one batched simulation and one batched
+filter run per level, so sweeps are reproducible bit-for-bit from their
+seed lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -95,27 +95,29 @@ class MomentGrowthReport:
         return self.finite and self.stable
 
 
-def _seed_readouts(model, grid, gen, schedules, seed, substeps, stage, readout):
-    """One seed's per-knot readouts of the filter run on each schedule.
+def _seed_readouts(model, grid, gen, schedules, seeds, substeps, stage, readout):
+    """Per-knot readouts of the filter runs of every seed on each schedule.
 
-    The path is simulated once, on the finest (last) schedule, and
-    subsampled to the others; `readout(field, y_prev)` sees each knot's
-    field at `stage`, with y_prev the observation at tau_{k-1}.
+    Each seed's path is simulated once, on the finest (last) schedule, and
+    subsampled to the others; each schedule takes one batched filter run.
+    `readout(field, y_prev)` sees each path's field at each knot at
+    `stage`, with y_prev that path's observation at tau_{k-1}.  Returns one
+    array of shape (seeds, steps, ...) per schedule.
     """
     finest = schedules[-1]
-    _, obs_fine = simulate(model, finest, substeps=substeps, seed=seed)
+    obs_fine = [ys for _, ys in simulate(model, finest, substeps=substeps, seed=seeds)]
     levels = []
     for sched in schedules:
-        obs = subsample(obs_fine, finest.steps // sched.steps)
+        obs = [subsample(o, finest.steps // sched.steps) for o in obs_fine]
         rows = []
 
         def hook(k, s, fld):
             if s == stage:
-                rows.append(readout(fld, obs.values[k - 1]))
+                rows.append([readout(f, o.values[k - 1]) for f, o in zip(fld.columns(), obs)])
 
         run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
                    field_hook=hook)
-        levels.append(np.array(rows))
+        levels.append(np.swapaxes(np.array(rows), 0, 1))
     return levels
 
 
@@ -153,14 +155,10 @@ def moment_growth_check(
     log_init = _unnormalized_log_moment(init, weight_nodes)
     fine = schedule.refined(2)
 
-    per_seed = [
-        _seed_readouts(model, grid, gen, (schedule, fine), seed, substeps, "updated",
-                       lambda fld, _: _unnormalized_log_moment(fld, weight_nodes))
-        for seed in obs_seeds
-    ]
+    levels = _seed_readouts(model, grid, gen, (schedule, fine), obs_seeds, substeps, "updated",
+                            lambda fld, _: _unnormalized_log_moment(fld, weight_nodes))
     log_ratios = []
-    for level in range(2):
-        logs = np.array([ps[level] for ps in per_seed])  # (seeds, steps)
+    for logs in levels:  # (seeds, steps)
         knot_means = np.array([_logmeanexp(logs[:, k]) for k in range(logs.shape[1])])
         log_ratios.append(float(np.max(knot_means)) - log_init)
 
@@ -238,14 +236,10 @@ def l4_stability_check(
 
     gen = assemble_generator(model, grid)
     h_nodes = np.asarray(model.observation(grid.coords), dtype=float)
-    per_seed = [
-        _seed_readouts(model, grid, gen, schedules, seed, substeps, "propagated",
-                       lambda fld, y_prev: _reconstructed_log_norms(fld, h_nodes, y_prev))
-        for seed in obs_seeds
-    ]
+    levels = _seed_readouts(model, grid, gen, schedules, obs_seeds, substeps, "propagated",
+                            lambda fld, y_prev: _reconstructed_log_norms(fld, h_nodes, y_prev))
     sup_l2, sup_l4 = [], []
-    for level, sched in enumerate(schedules):
-        norms = np.array([ps[level] for ps in per_seed])  # (seeds, steps, 2)
+    for norms, sched in zip(levels, schedules):  # (seeds, steps, 2)
         l2_knots = np.array([_logmeanexp(norms[:, k, 0]) for k in range(sched.steps)])
         l4_knots = np.array([_logmeanexp(norms[:, k, 1]) for k in range(sched.steps)])
         sup_l2.append(math.exp(float(np.max(l2_knots))))
@@ -408,14 +402,6 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray):
     return float(beta[1]), 1.96 * math.sqrt(cov[1, 1])
 
 
-def _seed_map(fn, tasks, workers: int) -> list:
-    """fn over the per-seed tasks, in a process pool when workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _kalman_readout(result, label: str) -> np.ndarray:
     """Kalman per-knot values of the moment readouts x_i, x_i^2, x_i*x_j."""
     if "*" in label:
@@ -430,41 +416,6 @@ def _kalman_readout(result, label: str) -> np.ndarray:
     raise ValueError(f"kalman oracle cannot evaluate test function {label!r}")
 
 
-def _convergence_seed_errors(args):
-    (model, grid, terminal, deltas, seed, oracle, phi, substeps, sim_substeps,
-     oracle_particles, oracle_refine) = args
-    finest = min(deltas)
-    k_sim = round(terminal / finest) * oracle_refine
-    sim_sched = TimeSchedule(terminal, k_sim)
-    _, obs_fine = simulate(model, sim_sched, substeps=sim_substeps, seed=seed)
-
-    if oracle == "kalman":
-        oracle_full = _kalman_readout(kalman_filter(model, sim_sched, obs_fine), phi.label)
-    elif oracle == "bootstrap_pf":
-        oracle_full = bootstrap_pf(
-            model, sim_sched, obs_fine, (phi,), oracle_particles, seed=seed + 10_000_019
-        ).estimates[:, 0]
-    elif oracle == "fine_oracle":
-        oracle_full = fine_oracle(
-            model, grid, sim_sched, obs_fine, (phi,), coarse_steps=k_sim,
-            space_refine=2, substeps=substeps,
-        )[:, 0]
-    else:
-        raise ValueError(f"unknown oracle {oracle!r}")
-
-    gen = assemble_generator(model, grid)
-    rows = []
-    for dt in deltas:
-        K = round(terminal / dt)
-        stride = k_sim // K
-        obs = subsample(obs_fine, stride)
-        out = run_filter(model, grid, obs.schedule, obs, (phi,), substeps=substeps,
-                         generator=gen)
-        knot_err = np.abs(out.estimates[1:, 0] - oracle_full[::stride][1:])
-        rows.append(knot_err)
-    return rows
-
-
 def convergence_sweep(
     model: FilterModel,
     grid: Grid,
@@ -477,18 +428,22 @@ def convergence_sweep(
     sim_substeps: int = 2,
     oracle_particles: int = 10_000,
     oracle_refine: int = 4,
-    workers: int = 1,
 ) -> SweepResult:
     """Mean |estimate - oracle| against dt.
 
     Per seed, one observation path is simulated at the finest dt over
     `oracle_refine` and subsampled to every coarser level; the oracle
     (near-exact reference) is computed once at that simulation
-    resolution and read at coarse knots.  Returns per-dt means with
-    standard errors over seeds and the fitted log-log slope (NaN,
-    flagged in the summary, when fewer than two levels are given).
+    resolution and read at coarse knots.  The paths of all seeds run as
+    one batch: one simulation, one Kalman or fine-oracle run, and one
+    filter run per dt (the particle oracle runs seed by seed).  Returns
+    per-dt means with standard errors over seeds and the fitted log-log
+    slope (NaN, flagged in the summary, when fewer than two levels are
+    given).
     """
     deltas = sorted(float(d) for d in deltas)[::-1]  # descending
+    if oracle not in ("kalman", "bootstrap_pf", "fine_oracle"):
+        raise ValueError(f"unknown oracle {oracle!r}")
     if oracle == "kalman" and model.linear is None:
         raise ValueError("kalman oracle requires a linear model")
     if oracle_refine < 1:
@@ -501,17 +456,35 @@ def convergence_sweep(
                              "multiple of the finest dt")
     phi = phi if phi is not None else coordinate(0)
 
-    tasks = [
-        (model, grid, terminal, tuple(deltas), seed, oracle, phi, substeps,
-         sim_substeps, oracle_particles, oracle_refine)
-        for seed in seeds
-    ]
-    per_seed = _seed_map(_convergence_seed_errors, tasks, workers)
+    k_sim = round(terminal / finest) * oracle_refine
+    sim_sched = TimeSchedule(terminal, k_sim)
+    obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=sim_substeps, seed=seeds)]
+    if oracle == "kalman":
+        refs = [_kalman_readout(r, phi.label) for r in kalman_filter(model, sim_sched, obs_fine)]
+    elif oracle == "bootstrap_pf":
+        refs = [
+            bootstrap_pf(model, sim_sched, obs, (phi,), oracle_particles,
+                         seed=seed + 10_000_019).estimates[:, 0]
+            for seed, obs in zip(seeds, obs_fine)
+        ]
+    else:
+        refs = [est[:, 0] for est in fine_oracle(
+            model, grid, sim_sched, obs_fine, (phi,), coarse_steps=k_sim,
+            space_refine=2, substeps=substeps,
+        )]
 
+    gen = assemble_generator(model, grid)
     mean_err = np.empty(len(deltas))
     stderr = np.empty(len(deltas))
-    for j in range(len(deltas)):
-        knot_means = np.array([float(np.mean(ps[j])) for ps in per_seed])
+    for j, dt in enumerate(deltas):
+        stride = k_sim // round(terminal / dt)
+        obs = [subsample(o, stride) for o in obs_fine]
+        outs = run_filter(model, grid, obs[0].schedule, obs, (phi,), substeps=substeps,
+                          generator=gen)
+        knot_means = np.array([
+            float(np.mean(np.abs(out.estimates[1:, 0] - ref[::stride][1:])))
+            for out, ref in zip(outs, refs)
+        ])
         mean_err[j] = float(np.mean(knot_means))
         stderr[j] = float(np.std(knot_means, ddof=1) / math.sqrt(len(knot_means)))
 
@@ -527,33 +500,6 @@ def convergence_sweep(
     )
 
 
-def _radius_seed_task(args):
-    (model, schedule, radii, dx, seed, phi, substeps, sim_substeps) = args
-    _, obs = simulate(model, schedule, substeps=sim_substeps, seed=seed)
-    largest = max(radii)
-    est = {}
-    tails = None
-    for R in radii:
-        points = 2 * round(R / dx) + 1
-        grid = build_grid(model.dim, R, points)
-        if R == largest:
-            probe = np.empty((schedule.steps, len(radii)))
-
-            def hook(k, stage, fld, probe=probe):
-                if stage == "updated":
-                    for j, r in enumerate(radii):
-                        probe[k - 1, j] = tail_mass(fld, r)
-
-            out = run_filter(model, grid, schedule, obs, (phi,), substeps=substeps,
-                             field_hook=hook)
-            tails = probe.mean(axis=0)
-        else:
-            out = run_filter(model, grid, schedule, obs, (phi,), substeps=substeps)
-        est[R] = out.estimates[1:, 0]
-    errs = [float(np.mean(np.abs(est[R] - est[largest]))) for R in radii]
-    return errs, tails
-
-
 def radius_sweep(
     model: FilterModel,
     schedule: TimeSchedule,
@@ -563,14 +509,14 @@ def radius_sweep(
     phi: Optional[TestFunction] = None,
     substeps: int = 4,
     sim_substeps: int = 2,
-    workers: int = 1,
 ) -> SweepResult:
     """Estimate drift and tail mass across domain radii at fixed spacing.
 
     The error curve compares each radius' estimates to the largest-radius
     run on the same path.  The tail curve probes the largest run's fields
     at r = each sweep radius (its own inscribed radius would sit exactly
-    on its Dirichlet nodes), averaged over knots and seeds.
+    on its Dirichlet nodes), averaged over knots and seeds.  The paths of
+    all seeds run as one batch, one filter run per radius.
     """
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2:
@@ -580,12 +526,24 @@ def radius_sweep(
             raise ValueError("each radius must be an integer multiple of dx")
     phi = phi if phi is not None else coordinate(0)
 
-    tasks = [(model, schedule, tuple(radii), dx, seed, phi, substeps, sim_substeps)
-             for seed in seeds]
-    results = _seed_map(_radius_seed_task, tasks, workers)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=sim_substeps, seed=seeds)]
+    probe = np.empty((len(seeds), schedule.steps, len(radii)))
 
-    err_matrix = np.array([r[0] for r in results])  # (seeds, radii)
-    tail_matrix = np.array([r[1] for r in results])
+    def hook(k, stage, fld):
+        if stage == "updated":
+            for s, col in enumerate(fld.columns()):
+                probe[s, k - 1] = [tail_mass(col, r) for r in radii]
+
+    est = []  # per radius: (seeds, K)
+    for R in radii:
+        grid = build_grid(model.dim, R, 2 * round(R / dx) + 1)
+        outs = run_filter(model, grid, schedule, obs, (phi,), substeps=substeps,
+                          field_hook=hook if R == radii[-1] else None)
+        est.append([out.estimates[1:, 0] for out in outs])
+    err_matrix = np.array([
+        [float(np.mean(np.abs(e[s] - est[-1][s]))) for e in est] for s in range(len(seeds))
+    ])  # (seeds, radii)
+    tail_matrix = probe.mean(axis=1)
     mean_err = err_matrix.mean(axis=0)
     stderr = err_matrix.std(axis=0, ddof=1) / math.sqrt(len(seeds))
     slope, half = _loglog_slope(

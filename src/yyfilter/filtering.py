@@ -6,13 +6,15 @@ knot interval, multiplies by exp(h^T dY), records the ratio estimates,
 and renormalizes so the stored mantissa field always has unit mass (the
 true scale lives in log_scale).  Estimates are recorded at tau_k right
 after the exponential update; the ratio makes them invariant to any
-positive rescaling of the initial density.
+positive rescaling of the initial density.  A batch of S observation
+paths runs as one (N, S) field with a log-scale per column; a single path
+runs through the same loop as an (N,) field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,12 +79,12 @@ def run_filter(
     model: FilterModel,
     grid: Grid,
     schedule: TimeSchedule,
-    obs: ObservationPath,
+    obs: Union[ObservationPath, Sequence[ObservationPath]],
     test_functions: Sequence[TestFunction],
     substeps: int = 4,
     generator: Optional[DiscreteGenerator] = None,
     field_hook: Optional[Callable[[int, str, DensityField], None]] = None,
-) -> FilterOutput:
+) -> Union[FilterOutput, list[FilterOutput]]:
     """Run the two-stage recursion over the whole observation path.
 
     For k = 1..K: propagate by dt, multiply by exp(h^T dY_k), record the
@@ -91,47 +93,66 @@ def run_filter(
     if given, is called with stage "propagated" (the pre-update field at
     tau_k) and "updated" (post-update); it must not mutate the field.
 
+    `obs` may also be a sequence of S paths: they advance together as one
+    (N, S) field, the hook sees that batched field, and the result is one
+    FilterOutput per path, each bit-identical to running that path alone.
+
     Raises MassCollapseError if the mantissa mass drops below 1e-300
     before renormalization or if a propagation step clamps more than
     CLAMP_TOLERANCE of the field mass.
     """
-    if obs.schedule.steps != schedule.steps or obs.schedule.terminal != schedule.terminal:
+    single = isinstance(obs, ObservationPath)
+    paths = [obs] if single else list(obs)
+    if any(p.schedule != schedule for p in paths):
         raise ValueError("observation path is on a different schedule")
     gen = generator if generator is not None else assemble_generator(model, grid)
     field = discretize_initial(model, grid)
+    if not single:  # one column per path
+        S = len(paths)
+        field = DensityField(
+            grid, np.repeat(field.values[:, None], S, axis=1), np.zeros(S), np.zeros(S)
+        )
     w = grid.trap_weights
     phi_nodes = [np.asarray(phi(grid.coords), dtype=float) for phi in test_functions]
 
     K = schedule.steps
-    n_phi = len(test_functions)
-    est = np.empty((K + 1, n_phi))
-    mass_m = np.empty(K + 1)
-    mass_ls = np.empty(K + 1)
-    clamped = np.zeros(K + 1)
-    min_val = np.zeros(K + 1)
+    dt = schedule.dt
+    # indexed [knot, path, ...] in the loop; split into one array per path at the end
+    est = np.empty((K + 1, len(paths), len(test_functions)))
+    mass_m = np.empty((K + 1, len(paths)))
+    mass_ls = np.empty((K + 1, len(paths)))
+    clamped = np.zeros((K + 1, len(paths)))
+    min_val = np.zeros((K + 1, len(paths)))
+
+    def at(k, s):
+        path = "" if single else f", path {s}"
+        return f"at knot {k} (t={k * dt:g}, dt={dt:g}, substeps={substeps}{path})"
 
     def record(k, fld):
-        m = float(np.dot(w, fld.values))
-        if m < 1e-300:
-            raise MassCollapseError(f"field mass collapsed at knot {k}")
-        for j, pv in enumerate(phi_nodes):
-            est[k, j] = float(np.dot(w, pv * fld.values)) / m
-        mass_m[k] = m
-        mass_ls[k] = fld.log_scale
-        clamped[k] = fld.clamped_mass
-        min_val[k] = float(fld.values.min())
-        return m
+        # Path by path, on contiguous rows: a gemv over the batch would sum
+        # in another order than the one-path readout.
+        for s, v in enumerate([fld.values] if single else np.ascontiguousarray(fld.values.T)):
+            m = float(np.dot(w, v))
+            if m < 1e-300:
+                raise MassCollapseError(f"field mass collapsed {at(k, s)}")
+            mass_m[k, s] = m
+            for j, pv in enumerate(phi_nodes):
+                est[k, s, j] = float(np.dot(w, pv * v)) / m
+        mass_ls[k], clamped[k] = fld.log_scale, fld.clamped_mass
+        min_val[k] = fld.values.min(axis=0)
+        return m if single else mass_m[k]
 
     mass = record(0, field)
-    increments = observation_increments(obs)
-    dt = schedule.dt
+    increments = np.stack([observation_increments(p) for p in paths], axis=1)  # (K, S, d)
 
     for k in range(1, K + 1):
         field = propagate(gen, field, dt, substeps)
-        if field.clamped_mass > CLAMP_TOLERANCE * mass:
+        over = field.clamped_mass > CLAMP_TOLERANCE * mass
+        if np.count_nonzero(over):
+            s = np.argmax(over)
             raise MassCollapseError(
-                f"clamped negative mass {field.clamped_mass:.3e} exceeds "
-                f"{CLAMP_TOLERANCE:g} of field mass at knot {k}"
+                f"clamped negative mass {np.ravel(field.clamped_mass)[s]:.3e} exceeds "
+                f"{CLAMP_TOLERANCE:g} of field mass {at(k, s)}"
             )
         if field_hook is not None:
             field_hook(k, "propagated", field)
@@ -144,12 +165,13 @@ def run_filter(
         )
         mass = 1.0
 
-    return FilterOutput(
-        schedule=schedule,
-        labels=tuple(phi.label for phi in test_functions),
-        estimates=est,
-        mass_mantissa=mass_m,
-        mass_log_scale=mass_ls,
-        clamped_mass=clamped,
-        min_value=min_val,
+    est, mass_m, mass_ls, clamped, min_val = (
+        np.ascontiguousarray(np.swapaxes(a, 0, 1))
+        for a in (est, mass_m, mass_ls, clamped, min_val)
     )
+    labels = tuple(phi.label for phi in test_functions)
+    outs = [
+        FilterOutput(schedule, labels, est[s], mass_m[s], mass_ls[s], clamped[s], min_val[s])
+        for s in range(len(paths))
+    ]
+    return outs[0] if single else outs

@@ -150,6 +150,8 @@ def mollifier(grid: Grid) -> np.ndarray:
 class DensityField:
     """Grid-sampled nonnegative field representing exp(log_scale) * values.
 
+    `values` is (N,) for one field, or (N, S) for a batch of S fields, one
+    per column, whose `log_scale` and `clamped_mass` are then (S,) arrays.
     `clamped_mass` records the negative mass removed by the most recent
     propagation step (zero for freshly constructed fields).
     """
@@ -158,6 +160,14 @@ class DensityField:
     values: np.ndarray
     log_scale: float = 0.0
     clamped_mass: float = 0.0
+
+    def columns(self) -> list:
+        """The S single fields of a batch, each with contiguous values."""
+        rows = np.ascontiguousarray(self.values.T)
+        return [
+            DensityField(self.grid, v, float(ls), float(cm))
+            for v, ls, cm in zip(rows, self.log_scale, self.clamped_mass)
+        ]
 
     def mass(self) -> ScaledValue:
         return integrate(self, None)
@@ -310,15 +320,20 @@ def _cn_krylov_step(gen: DiscreteGenerator, v: np.ndarray, cn: _CNSystem, n_step
     A, c = gen.matrix, cn.c
     lhs, inv_diag = cn.factors
     precond = LinearOperator(lhs.shape, matvec=lambda x: inv_diag * x)
+    cols = v.reshape(len(v), -1)
     for _ in range(n_steps):
-        rhs = v + c * (A @ v)
-        v, info = bicgstab(lhs, rhs, x0=v, rtol=1e-10, atol=0.0, M=precond, maxiter=2000)
-        if info != 0:
-            raise SolverError(
-                f"implicit solve did not converge (bicgstab info={info}, "
-                f"iteration budget 2000)"
-            )
-    return v
+        rhs = np.ascontiguousarray((cols + c * (A @ cols)).T)
+        x0s = np.ascontiguousarray(cols.T)
+        for s, (b, x0) in enumerate(zip(rhs, x0s)):
+            x, info = bicgstab(lhs, b, x0=x0, rtol=1e-10, atol=0.0, M=precond, maxiter=2000)
+            if info != 0:
+                raise SolverError(
+                    f"implicit solve did not converge (bicgstab info={info}, "
+                    f"iteration budget 2000)"
+                )
+            rhs[s] = x
+        cols = rhs.T
+    return cols.reshape(v.shape)
 
 
 def propagate(
@@ -329,7 +344,9 @@ def propagate(
     Solves (I - c A) v_{j+1} = (I + c A) v_j with c = dt / (2 substeps),
     reusing the generator's prepared I - c A while c stays the same.
     Negative undershoot is clamped to zero after the final stage and the
-    removed mass is recorded on the result's `clamped_mass`.
+    removed mass is recorded on the result's `clamped_mass`.  A batch
+    field takes one banded solve for all its columns in 1D and one
+    BiCGSTAB solve per column in 2D/3D.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -341,30 +358,39 @@ def propagate(
         v = _cn_banded_step(gen, v, cn, substeps)
     else:
         v = _cn_krylov_step(gen, v, cn, substeps)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise SolverError("propagation produced non-finite values")
-    neg = v < 0
-    clamped = float(-np.sum(v[neg] * field.grid.trap_weights[neg])) if neg.any() else 0.0
-    if neg.any():
-        v[neg] = 0.0
+    w = field.grid.trap_weights
+    clamped = []
+    for col in [v] if v.ndim == 1 else v.T:  # per column: each sum in its one-field order
+        neg = col < 0
+        clamped.append(float(-np.sum(col[neg] * w[neg])) if neg.any() else 0.0)
+        col[neg] = 0.0
     v[field.grid.boundary_mask] = 0.0
-    return DensityField(field.grid, v, field.log_scale, clamped_mass=clamped)
+    return DensityField(
+        field.grid, v, field.log_scale, np.array(clamped) if v.ndim == 2 else clamped[0]
+    )
 
 
 def exp_update(field: DensityField, model: FilterModel, dy: np.ndarray) -> DensityField:
     """Multiply the field by exp(h(x)^T dy), rescaled to avoid overflow.
 
     The maximum of the exponent over the field's support moves into
-    log_scale, so the stored values never exceed their previous size.
+    log_scale, so the stored values never exceed their previous size.  A
+    batch field takes one increment per column, `dy` of shape (S, d).
     """
-    dy = np.atleast_1d(np.asarray(dy, dtype=float))
-    if not np.all(np.isfinite(dy)):
+    cols = field.values.reshape(len(field.values), -1)
+    dys = np.asarray(dy, dtype=float).reshape(cols.shape[1], -1)
+    if not np.isfinite(dys).all():
         raise ValueError("observation increment must be finite")
     h = np.asarray(model.observation(field.grid.coords), dtype=float)
-    expo = h @ dy
-    support = field.values > 0
-    shift = float(np.max(expo[support])) if support.any() else 0.0
-    vals = field.values * np.exp(expo - shift)
+    # For d > 1 a gemm over the batch sums h^T dy in another order than the
+    # one-field gemv, so the exponent is built column by column.
+    expo = h @ dys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in dys])
+    shift = np.where(cols > 0, expo, -np.inf).max(axis=0)
+    shift[shift == -np.inf] = 0.0  # no support: no shift
+    vals = (cols * np.exp(expo - shift)).reshape(field.values.shape)
+    shift = shift.reshape(field.values.shape[1:])
     return DensityField(field.grid, vals, field.log_scale + shift, field.clamped_mass)
 
 

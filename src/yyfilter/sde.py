@@ -6,25 +6,23 @@ the observation integral of h is accumulated at that fine resolution so
 coarse recording does not bias it.  All randomness comes from a
 counter-based Philox stream keyed by the seed, with every increment for
 a path drawn in a single upfront call, so identical inputs give
-bit-identical paths regardless of execution order.
+bit-identical paths regardless of execution order or of the other seeds
+simulated alongside.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
-from .models import FilterModel, TimeSchedule, as_points
+from .models import FilterModel, TimeSchedule
 from .tables import csv_table
 
 
 class SimulationError(RuntimeError):
     """State integration produced a non-finite value."""
-
-
-PATH_MAGIC = b"YYPATH1"
 
 
 @dataclass(frozen=True)
@@ -47,44 +45,55 @@ def simulate(
     model: FilterModel,
     schedule: TimeSchedule,
     substeps: int = 1,
-    seed: int = 0,
-) -> tuple[StatePath, ObservationPath]:
+    seed: Union[int, Sequence[int]] = 0,
+) -> Union[tuple[StatePath, ObservationPath], list[tuple[StatePath, ObservationPath]]]:
     """Simulate one (state, observation) pair on the schedule.
 
     X_0 is drawn from the model's initial sampler; X advances by
     Euler-Maruyama on dt/substeps; Y accumulates h(X) dt plus Brownian
-    increments at the fine resolution and is recorded at knots.
+    increments at the fine resolution and is recorded at knots.  Given a
+    sequence of seeds, the S states advance together as one (S, d) array
+    and the result is one (StatePath, ObservationPath) pair per seed, each
+    bit-identical to simulating that seed alone.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
     d = model.dim
     K = schedule.steps
+    n = K * substeps
     dt = schedule.dt / substeps
     sq = np.sqrt(dt)
 
-    rng = _rng_for(seed)
-    x = model.sample_initial(rng, 1)[0]
-    dv = rng.standard_normal((K * substeps, d)) * sq
-    dw = rng.standard_normal((K * substeps, d)) * sq
+    x = np.empty((len(seeds), d))
+    dv = np.empty((n, len(seeds), d))
+    dw = np.empty((n, len(seeds), d))
+    for s, sd in enumerate(seeds):
+        rng = _rng_for(sd)
+        x[s] = model.sample_initial(rng, 1)[0]
+        dv[:, s] = rng.standard_normal((n, d)) * sq
+        dw[:, s] = rng.standard_normal((n, d)) * sq
 
-    xs = np.empty((K + 1, d))
-    ys = np.zeros((K + 1, d))
-    xs[0] = x
-    y = np.zeros(d)
+    xs = np.empty((len(seeds), K + 1, d))
+    ys = np.zeros((len(seeds), K + 1, d))
+    xs[:, 0] = x
+    y = np.zeros_like(x)
     step = 0
     for k in range(1, K + 1):
         for _ in range(substeps):
-            pt = x[None, :]
-            y = y + model.observation(pt)[0] * dt + dw[step]
-            drift = model.drift(pt)[0]
-            gmat = model.diffusion(pt)[0]
-            x = x + drift * dt + gmat @ dv[step]
+            y = y + model.observation(x) * dt + dw[step]
+            x = x + model.drift(x) * dt + (model.diffusion(x) @ dv[step, :, :, None])[..., 0]
             step += 1
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(f"state became non-finite at knot {k} (t={k * schedule.dt:g})")
-        xs[k] = x
-        ys[k] = y
-    return StatePath(schedule, xs), ObservationPath(schedule, ys)
+        if not np.isfinite(x).all():
+            where = "" if single else f", seed {seeds[np.isfinite(x).all(axis=1).argmin()]}"
+            raise SimulationError(
+                f"state became non-finite at knot {k} (t={k * schedule.dt:g}{where})"
+            )
+        xs[:, k] = x
+        ys[:, k] = y
+    pairs = [(StatePath(schedule, xv), ObservationPath(schedule, yv)) for xv, yv in zip(xs, ys)]
+    return pairs[0] if single else pairs
 
 
 def observation_increments(path: ObservationPath) -> np.ndarray:
@@ -102,7 +111,7 @@ def subsample(path, stride: int):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV (t, X_1..X_d, Y_1..Y_d) and a little-endian binary cache.
+# Serialization: CSV (t, X_1..X_d, Y_1..Y_d).
 # ---------------------------------------------------------------------------
 
 
@@ -124,32 +133,3 @@ def paths_from_csv(text: str) -> tuple[StatePath, ObservationPath]:
         StatePath(schedule, data[:, 1 : 1 + d]),
         ObservationPath(schedule, data[:, 1 + d : 1 + 2 * d]),
     )
-
-
-def paths_to_binary(state: StatePath, obs: ObservationPath) -> bytes:
-    d = state.values.shape[1]
-    K = state.schedule.steps
-    head = PATH_MAGIC + struct.pack("<IId", d, K, state.schedule.terminal)
-    body = (
-        state.schedule.knots.astype("<f8").tobytes()
-        + state.values.astype("<f8").tobytes()
-        + obs.values.astype("<f8").tobytes()
-    )
-    return head + body
-
-
-def paths_from_binary(blob: bytes) -> tuple[StatePath, ObservationPath]:
-    if blob[: len(PATH_MAGIC)] != PATH_MAGIC:
-        raise ValueError("not a path cache: bad magic header")
-    off = len(PATH_MAGIC)
-    d, K, terminal = struct.unpack_from("<IId", blob, off)
-    off += struct.calcsize("<IId")
-    n = K + 1
-    knots = np.frombuffer(blob, "<f8", n, off)
-    off += 8 * n
-    xs = np.frombuffer(blob, "<f8", n * d, off).reshape(n, d).copy()
-    off += 8 * n * d
-    ys = np.frombuffer(blob, "<f8", n * d, off).reshape(n, d).copy()
-    schedule = TimeSchedule(terminal, K)
-    del knots
-    return StatePath(schedule, xs), ObservationPath(schedule, ys)

@@ -163,7 +163,10 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("sweep", "dx = wide", "[sweep] dx"),
         ("run", "seed_base = 0.5", "[run] seed_base"),
         ("run", "seeds = inf", "[run] seeds"),
-        ("run", "workers = nan", "[run] workers"),
+        ("sweep", "values = 0.02, inf", "[sweep] values"),
+        ("sweep", "dx = inf", "[sweep] dx"),
+        ("grid", "radius = inf", "[grid] radius"),
+        ("schedule", "terminal = inf", "[schedule] terminal"),
     ],
 )
 def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line, field):
@@ -183,20 +186,6 @@ def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line
 def test_config_slope_band_keeps_infinite_upper_edge(tmp_path):
     cfg = load_config(_write(tmp_path, BASE_CONFIG + "\n[sweep]\nslope_band = 0.35, inf\n"))
     assert cfg.slope_band == (0.35, float("inf"))
-
-
-def test_cli_workers_env_fallback(tmp_path, monkeypatch):
-    cfg_path = _write(tmp_path, BASE_CONFIG)
-    monkeypatch.setenv("YYF_WORKERS", "1")
-    out = tmp_path / "envout"
-    assert main(["filter", "--config", cfg_path, "--out", str(out)]) == 0
-
-
-def test_cli_malformed_workers_env_exits_2_naming_it(tmp_path, monkeypatch, capsys):
-    cfg_path = _write(tmp_path, BASE_CONFIG)
-    monkeypatch.setenv("YYF_WORKERS", "two")
-    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
-    assert "YYF_WORKERS" in capsys.readouterr().err
 
 
 DEMO_SWEEP_CONFIG = """\

@@ -168,7 +168,7 @@ def test_clamp_guard_trips_on_violent_potential():
     grid = build_grid(1, 6.0, 121)
     schedule = TimeSchedule(0.5, 5)
     _, obs = simulate(model, schedule, seed=0)
-    with pytest.raises(MassCollapseError, match="clamped"):
+    with pytest.raises(MassCollapseError, match=r"clamped.*knot 1 \(t=0\.1, dt=0\.1, substeps=1\)"):
         run_filter(model, grid, schedule, obs, [ONE], substeps=1)
 
 
@@ -213,6 +213,37 @@ def test_2d_filter_tracks_kalman():
     kal = kalman_filter(model, schedule, obs)
     err = np.mean(np.abs(out.estimates[1:] - kal.means[1:]))
     assert err < 5e-3
+
+
+def test_3d_filter_batch_tracks_kalman():
+    # Two paths as one batch, so the per-column BiCGSTAB route runs in 3D.
+    model = builtin_model("linearNd", dim=3)
+    grid = build_grid(3, 6.0, 21)
+    schedule = TimeSchedule(0.02, 20)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=2, seed=[23, 24])]
+    phis = [coordinate(i) for i in range(3)]
+    outs = run_filter(model, grid, schedule, obs, phis)
+    for out, kal in zip(outs, kalman_filter(model, schedule, obs)):
+        assert np.mean(np.abs(out.estimates[1:] - kal.means[1:])) < 5e-3
+
+
+@pytest.mark.parametrize("dim, points, steps", [(1, 121, 40), (2, 31, 10)])
+def test_path_batch_matches_one_path_at_a_time(dim, points, steps):
+    model = builtin_model("linear1d") if dim == 1 else builtin_model("linearNd", dim=dim)
+    grid = build_grid(dim, 4.0, points)
+    gen = assemble_generator(model, grid)
+    schedule = TimeSchedule(0.02 * steps, steps)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=2, seed=[1, 2, 3])]
+    phis = [coordinate(0), squared_coordinate(dim - 1)]
+    seen = []
+    batch = run_filter(model, grid, schedule, obs, phis, substeps=2, generator=gen,
+                       field_hook=lambda k, stage, f: seen.append(f.values.shape))
+    assert set(seen) == {(grid.n_nodes, 3)}
+    for path, out in zip(obs, batch):
+        one = run_filter(model, grid, schedule, path, phis, substeps=2, generator=gen)
+        for name in ("estimates", "mass_mantissa", "mass_log_scale", "clamped_mass",
+                     "min_value"):
+            assert np.array_equal(getattr(out, name), getattr(one, name)), name
 
 
 @given(scale=st.floats(0.1, 10.0))

@@ -10,6 +10,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args, header, rows",
     [
@@ -28,15 +39,17 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_script_writes_its_table(tmp_path, script, args, header, rows):
     out = tmp_path / "table.csv"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run(script, *args, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+def test_mass_collapse_names_its_step_size(tmp_path):
+    # dt = 0.05 is too coarse for the cubic sensor: the clamp guard trips, and
+    # its message must name the step size, not only the knot.
+    proc = _run("nonlinear_crossval.py", "--model", "cubic_sensor", "--steps", "20",
+                "--seeds", "2", "--particles", "500", "--out", str(tmp_path / "t.csv"))
+    assert proc.returncode != 0
+    assert "dt=0.05" in proc.stderr

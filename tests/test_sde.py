@@ -16,9 +16,7 @@ from yyfilter.models import (
 from yyfilter.sde import (
     ObservationPath,
     observation_increments,
-    paths_from_binary,
     paths_from_csv,
-    paths_to_binary,
     paths_to_csv,
     simulate,
     subsample,
@@ -77,10 +75,7 @@ def test_h_zero_observation_is_brownian():
     # N(0, dt); the sample variance must sit within 3 standard errors
     sched = TimeSchedule(0.4, 4)
     n = 10_000
-    incs = np.empty(n)
-    for seed in range(n):
-        _, ys = simulate(PURE_NOISE, sched, substeps=1, seed=seed)
-        incs[seed] = ys.values[1, 0]
+    incs = np.array([ys.values[1, 0] for _, ys in simulate(PURE_NOISE, sched, substeps=1, seed=range(n))])
     dt = sched.dt
     var_se = dt * np.sqrt(2.0 / (n - 1))
     assert abs(incs.var(ddof=1) - dt) <= 3 * var_se
@@ -91,10 +86,8 @@ def test_linear1d_ensemble_mean_decay(linear1d):
     # OU mean decays as E[X_0] e^{-T} = 0 for the symmetric prior
     sched = TimeSchedule(1.0, 10)
     n = 4000
-    finals = np.empty(n)
-    for seed in range(n):
-        xs, _ = simulate(linear1d, sched, substeps=2, seed=seed)
-        finals[seed] = xs.values[-1, 0]
+    paths = simulate(linear1d, sched, substeps=2, seed=range(n))
+    finals = np.array([xs.values[-1, 0] for xs, _ in paths])
     se = finals.std(ddof=1) / np.sqrt(n)
     assert abs(finals.mean()) <= 3 * se
 
@@ -112,10 +105,8 @@ def test_weak_order_one_in_substeps(linear1d):
         for _ in range(sched.steps * substeps):
             v = (1 - dt) ** 2 * v + dt
         gaps.append(abs(v - exact_var))
-        finals = np.empty(n)
-        for seed in range(n):
-            xs, _ = simulate(linear1d, sched, substeps=substeps, seed=seed)
-            finals[seed] = xs.values[-1, 0]
+        paths = simulate(linear1d, sched, substeps=substeps, seed=range(n))
+        finals = np.array([xs.values[-1, 0] for xs, _ in paths])
         sample_var = finals.var(ddof=1)
         se = sample_var * np.sqrt(2.0 / (n - 1))
         assert abs(sample_var - v) <= 4 * se
@@ -131,6 +122,20 @@ def test_determinism_bit_identical(linear1d):
     assert_array_equal(a[1].values, b[1].values)
     c = simulate(linear1d, sched, substeps=3, seed=43)
     assert not np.array_equal(a[0].values, c[0].values)
+
+
+@pytest.mark.parametrize(
+    "name, dim", [("linear1d", None), ("cubic_sensor", None), ("linearNd", 3)]
+)
+def test_seed_batch_matches_one_seed_at_a_time(name, dim):
+    model = builtin_model(name, dim)
+    sched = TimeSchedule(0.3, 30)
+    batch = simulate(model, sched, substeps=3, seed=[5, 0, 11])
+    assert len(batch) == 3
+    for seed, (xs, ys) in zip([5, 0, 11], batch):
+        xs1, ys1 = simulate(model, sched, substeps=3, seed=seed)
+        assert_array_equal(xs.values, xs1.values)
+        assert_array_equal(ys.values, ys1.values)
 
 
 def test_increments_difference_and_roundtrip():
@@ -185,17 +190,6 @@ def test_csv_roundtrip(linear1d):
     xs2, ys2 = paths_from_csv(text)
     assert_allclose(xs2.values, xs.values)
     assert_allclose(ys2.values, ys.values)
-
-
-def test_binary_roundtrip_magic(linear1d):
-    xs, ys = simulate(linear1d, TimeSchedule(1.0, 7), seed=9)
-    blob = paths_to_binary(xs, ys)
-    assert blob.startswith(b"YYPATH1")
-    xs2, ys2 = paths_from_binary(blob)
-    assert_array_equal(xs2.values, xs.values)
-    assert_array_equal(ys2.values, ys.values)
-    with pytest.raises(ValueError):
-        paths_from_binary(b"junkjunkjunk")
 
 
 def test_subsample_stride(linear1d):
