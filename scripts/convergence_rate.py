@@ -3,9 +3,11 @@
 rate against a near-exact Kalman oracle."""
 
 import argparse
+import sys
 from pathlib import Path
 
 from yyfilter import build_grid, builtin_model, convergence_sweep, coordinate
+from yyfilter.cli import error_boundary
 
 
 def main():
@@ -32,4 +34,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

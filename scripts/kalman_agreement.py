@@ -6,6 +6,7 @@ Writes one CSV row per seed with the knot-averaged absolute mean gap.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from yyfilter import (
     run_filter,
     simulate,
 )
+from yyfilter.cli import error_boundary
 from yyfilter.tables import csv_table
 
 
@@ -57,4 +59,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

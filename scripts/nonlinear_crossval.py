@@ -3,6 +3,7 @@
 filter on the nonlinear benchmarks."""
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from yyfilter import (
     run_filter,
     simulate,
 )
+from yyfilter.cli import error_boundary
 from yyfilter.tables import csv_table
 
 
@@ -55,4 +57,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

@@ -4,11 +4,13 @@ the largest domain plus tail-mass decay."""
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from yyfilter import TimeSchedule, builtin_model, coordinate, radius_sweep
+from yyfilter.cli import error_boundary
 
 
 def main():
@@ -39,4 +41,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

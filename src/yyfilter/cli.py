@@ -143,6 +143,15 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report.passed else 1
 
 
+def error_boundary(fn, *args):
+    """Call fn(*args); a raised error prints as `error: ...` and returns exit status 1."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # surface module errors as clean nonzero exits
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="yyfilter",
@@ -166,19 +175,9 @@ def main(argv=None) -> int:
         cfg.seed_base = args.seed_base
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "filter":
-            return cmd_filter(cfg, out_dir)
-        if args.command == "baseline":
-            return cmd_baseline(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        return cmd_validate(cfg, out_dir)
-    except Exception as exc:  # surface module errors as clean nonzero exits
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    command = {"simulate": cmd_simulate, "filter": cmd_filter, "baseline": cmd_baseline,
+               "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
+    return error_boundary(command, cfg, out_dir)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ Example::
 
 Only [model], [grid], and [schedule] are required; every applied default
 is echoed to the log.  Validation happens before any compute and errors
-name the offending field.
+name the offending field; a section or key the loader does not read is
+an error too.
 """
 
 from __future__ import annotations
@@ -244,6 +245,13 @@ def load_config(path) -> ExperimentConfig:
         "run.seeds": seed_count,
         "output.directory": output_dir,
     }
+    known = {tuple(k.split(".")) for k in resolved}
+    for section in parser.sections():
+        if section not in {s for s, _ in known}:
+            raise ConfigError(f"section [{section}] is not a known section")
+        for key in parser.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"field [{section}] {key} is not a known key")
     raw_dump = "\n".join(f"{k}={v}" for k, v in sorted(resolved.items()))
 
     return ExperimentConfig(

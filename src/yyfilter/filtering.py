@@ -126,7 +126,8 @@ def run_filter(
 
     def at(k, s):
         path = "" if single else f", path {s}"
-        return f"at knot {k} (t={k * dt:g}, dt={dt:g}, substeps={substeps}{path})"
+        return (f"at knot {k} (t={k * dt:g}, dt={dt:g}, substeps={substeps}{path}) "
+                f"on a mesh with dx={grid.spacing:g}")
 
     def record(k, fld):
         # Path by path, on contiguous rows: a gemv over the batch would sum

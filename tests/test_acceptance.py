@@ -9,6 +9,7 @@ import dataclasses
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -190,9 +191,14 @@ def _crossval_cell(args):
     return name, float(np.mean(diff <= window))
 
 
-def test_c5_nonlinear_cross_validation():
+def test_c5_nonlinear_cross_validation(monkeypatch):
     cells = [("benes", 4, s) for s in SEEDS_20] + [("cubic_sensor", 8, s) for s in SEEDS_20]
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    # Two processes pay only with one BLAS thread each: on 2 vCPUs the cubic half
+    # took 51 s that way, 101 s in one process, and 135 s when each worker also
+    # ran two OpenBLAS threads. Spawned workers load numpy afresh, so they read
+    # the thread count set here.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         results = list(pool.map(_crossval_cell, cells))
     fracs = {"benes": [], "cubic_sensor": []}
     for name, frac in results:

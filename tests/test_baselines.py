@@ -233,6 +233,11 @@ def test_baselines_deterministic_given_seed(linear1d):
     c = ks_monte_carlo(linear1d, sched, obs, [coordinate(0)], 5000, seed=11)
     d = ks_monte_carlo(linear1d, sched, obs, [coordinate(0)], 5000, seed=11)
     assert_array_equal(c.estimates, d.estimates)
+    cubic = builtin_model("cubic_sensor")
+    _, obs = simulate(cubic, sched, seed=2)
+    e = bootstrap_pf(cubic, sched, obs, [coordinate(0)], 5000, seed=11)
+    f = bootstrap_pf(cubic, sched, obs, [coordinate(0)], 5000, seed=11)
+    assert_array_equal(e.estimates, f.estimates)
 
 
 def test_weighted_ensemble_invariants():

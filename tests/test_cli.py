@@ -167,6 +167,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("sweep", "dx = inf", "[sweep] dx"),
         ("grid", "radius = inf", "[grid] radius"),
         ("schedule", "terminal = inf", "[schedule] terminal"),
+        ("filter", "substep = 8", "[filter] substep"),
+        ("run", "workers = 2", "[run] workers"),
+        ("outputs", "directory = x", "[outputs]"),
     ],
 )
 def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line, field):

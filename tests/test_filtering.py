@@ -172,6 +172,17 @@ def test_clamp_guard_trips_on_violent_potential():
         run_filter(model, grid, schedule, obs, [ONE], substeps=1)
 
 
+def test_coarse_3d_clamp_names_mesh_spacing():
+    # Crank-Nicolson undershoots the initial density on a 21^3 mesh at this dt;
+    # the error must name the mesh spacing as well as the step size.
+    model = builtin_model("linearNd", dim=3)
+    grid = build_grid(3, 4.0, 21)
+    schedule = TimeSchedule(0.05, 5)
+    _, obs = simulate(model, schedule, seed=0)
+    with pytest.raises(MassCollapseError, match=r"knot 1 \(t=0\.01, dt=0\.01, substeps=4\).*dx=0\.4"):
+        run_filter(model, grid, schedule, obs, [ONE], substeps=4)
+
+
 def test_field_hook_sees_both_stages(small_setup):
     model, grid, schedule, obs = small_setup
     sched = TimeSchedule(0.1, 5)

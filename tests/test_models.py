@@ -41,6 +41,15 @@ def test_registry_cubic_sensor():
     assert m.assumptions.growth_order == 2
 
 
+def test_cubic_observation_matches_pow_within_rounding():
+    # x*x*x rounds twice where pow rounds once, so the two may differ in the last bits.
+    x = np.random.default_rng(0).uniform(-8.0, 8.0, size=(1000, 1))
+    x[:4, 0] = [-8.0, -1e-3, 0.0, 8.0]
+    y = builtin_model("cubic_sensor").observation(x)
+    assert y.shape == x.shape
+    assert_allclose(y, x**3, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_registry_linearNd_dims():
     m = builtin_model("linearNd")
     assert m.dim == 2

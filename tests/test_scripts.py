@@ -53,3 +53,6 @@ def test_mass_collapse_names_its_step_size(tmp_path):
                 "--seeds", "2", "--particles", "500", "--out", str(tmp_path / "t.csv"))
     assert proc.returncode != 0
     assert "dt=0.05" in proc.stderr
+    # the shared error boundary prints one line, not a traceback
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
