@@ -106,6 +106,8 @@ def run_filter(
     if any(p.schedule != schedule for p in paths):
         raise ValueError("observation path is on a different schedule")
     gen = generator if generator is not None else assemble_generator(model, grid)
+    if str(gen.grid) != str(grid):
+        raise ValueError(f"generator was assembled on {gen.grid}, not on the filter's {grid}")
     field = discretize_initial(model, grid)
     if not single:  # one column per path
         S = len(paths)

@@ -9,12 +9,14 @@ radii).  The generator discretizes
 
 with second-order central differences in conservative form: derivatives
 act on the products a^ij u and f_i u, evaluated at the source node of
-each stencil entry.  Time stepping is Crank-Nicolson.  Its implicit side
-I - c A depends only on the generator and on c = dt / (2 substeps), so it
-is prepared once per generator and step size, on first use: in 1D an LU
-factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the
-left-hand-side CSR matrix and its Jacobi preconditioner for BiCGSTAB at
-relative residual 1e-10.
+each stencil entry; only nonzero couplings are stored (under a diagonal
+diffusion, 7 of the 19 stencil entries of a 3D interior row).  Time
+stepping is Crank-Nicolson.  Its implicit side I - c A depends only on
+the generator and on c = dt / (2 substeps), so it is prepared once per
+generator and step size, on first use: in 1D an LU factorization of the
+tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the left-hand-side CSR
+matrix and its Jacobi preconditioner for BiCGSTAB at relative residual
+1e-10.
 
 Fields carry a log-scale factor: a DensityField represents
 exp(log_scale) * values, and integrals come back as (mantissa, log_scale)
@@ -24,6 +26,7 @@ in the filter loop, not here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple, Optional
@@ -87,6 +90,10 @@ class Grid:
     def interior_mask(self) -> np.ndarray:
         return ~self.boundary_mask
 
+    def __str__(self) -> str:
+        """The grid's defining parameters; two grids with equal strings are equal."""
+        return f"grid(dim={self.dim}, radius={self.radius!r}, points={self.points_per_axis})"
+
 
 def build_grid(dim: int, radius: float, points: int) -> Grid:
     """Uniform tensor grid with M nodes per axis, M odd so the origin is a node."""
@@ -122,7 +129,7 @@ def build_grid(dim: int, radius: float, points: int) -> Grid:
 
     return Grid(
         dim=dim,
-        radius=radius,
+        radius=float(radius),
         points_per_axis=points,
         spacing=spacing,
         axis=axis,
@@ -221,8 +228,10 @@ class DiscreteGenerator:
 def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
     """Assemble the conservative-form generator on interior nodes.
 
-    Refuses assembly if the diffusion matrix a = g g^T is degenerate
-    (smallest eigenvalue <= 0) at any node.
+    The canonical CSR result stores only the nonzero stencil couplings:
+    7 of a 3D interior row's 19 under a diagonal diffusion.  Refuses
+    assembly if the diffusion matrix a = g g^T is degenerate (smallest
+    eigenvalue <= 1e-14) at any node.
     """
     d = grid.dim
     M = grid.points_per_axis
@@ -246,44 +255,39 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
 
     strides = np.array([M**k for k in range(d - 1, -1, -1)], dtype=np.int64)
     interior = np.where(grid.interior_mask)[0]
-
-    rows = []
-    cols = []
-    data = []
-
-    # Diagonal: -sum_i a^ii(x)/dx^2 - |h(x)|^2/2.
     a_diag = a[:, np.arange(d), np.arange(d)]  # (N, d)
-    diag = -np.sum(a_diag[interior], axis=1) / dx**2
-    diag = diag - 0.5 * np.sum(h[interior] ** 2, axis=1)
-    rows.append(interior)
-    cols.append(interior)
-    data.append(diag)
 
-    # Axis neighbors: second-difference of a^ii u plus central drift flux.
-    for ax in range(d):
-        for sgn in (1, -1):
-            nb = interior + sgn * strides[ax]
-            entry = a[nb, ax, ax] / (2 * dx**2) - sgn * f[nb, ax] / (2 * dx)
-            rows.append(interior)
-            cols.append(nb)
-            data.append(entry)
+    # Every interior row has the same stencil: the offsets e in {-1, 0, 1}^d
+    # with at most two nonzeros.  In lexicographic order their columns
+    # interior + strides . e ascend (M >= 3), so each entry fills one
+    # column of an (n_interior, n_stencil) block of canonical CSR rows.
+    offsets = itertools.product((-1, 0, 1), repeat=d)
+    stencil = np.array([e for e in offsets if np.count_nonzero(e) <= 2])  # (n_stencil, d)
+    data = np.empty((interior.size, len(stencil)))
+    for k, e in enumerate(stencil):
+        nb = interior + strides @ e
+        axes = np.flatnonzero(e)
+        if axes.size == 0:
+            # Diagonal: -sum_i a^ii(x)/dx^2 - |h(x)|^2/2.
+            diag = -np.sum(a_diag[interior], axis=1) / dx**2
+            data[:, k] = diag - 0.5 * np.sum(h[interior] ** 2, axis=1)
+        elif axes.size == 1:
+            # Axis neighbors: second-difference of a^ii u plus central drift flux.
+            (ax,) = axes
+            data[:, k] = a[nb, ax, ax] / (2 * dx**2) - e[ax] * f[nb, ax] / (2 * dx)
+        else:
+            # Cross terms i < j: full-weight mixed second difference of a^ij u
+            # (the 1/2 prefactor cancels against the symmetric (j, i) term).
+            i, j = axes
+            data[:, k] = e[i] * e[j] * a[nb, i, j] / (4 * dx**2)
 
-    # Cross terms i < j: full-weight mixed second difference of a^ij u
-    # (the 1/2 prefactor cancels against the symmetric (j, i) term).
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    nb = interior + si * strides[i] + sj * strides[j]
-                    entry = si * sj * a[nb, i, j] / (4 * dx**2)
-                    rows.append(interior)
-                    cols.append(nb)
-                    data.append(entry)
-
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsr()
+    # A coefficient that is exactly 0.0, such as every mixed difference of a
+    # diagonal diffusion, is not stored.  Boundary rows stay empty.
+    keep = data != 0.0
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    indptr[interior + 1] = np.count_nonzero(keep, axis=1)
+    cols = (interior[:, None] + stencil @ strides)[keep]
+    mat = sp.csr_matrix((data[keep], cols, np.cumsum(indptr)), shape=(N, N))
     return DiscreteGenerator(grid=grid, matrix=mat)
 
 

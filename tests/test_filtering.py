@@ -152,6 +152,29 @@ def test_mismatched_schedule_rejected(small_setup):
         run_filter(model, grid, other, obs, [ONE])
 
 
+@pytest.mark.parametrize(
+    "gen_grid, expected",
+    [
+        # same node count, other spacing: would return plausible wrong estimates
+        ((1, 6.0, 241), r"grid\(dim=1, radius=6\.0, points=241\).*radius=4\.0, points=241"),
+        # other node count: would die in a sparse matmul
+        ((1, 4.0, 121), r"grid\(dim=1, radius=4\.0, points=121\).*radius=4\.0, points=241"),
+    ],
+)
+def test_generator_from_another_grid_rejected(gen_grid, expected):
+    model = builtin_model("linear1d")
+    grid = build_grid(1, 4.0, 241)
+    schedule = TimeSchedule(1.0, 100)
+    _, obs = simulate(model, schedule, seed=5)
+    gen = assemble_generator(model, build_grid(*gen_grid))
+    with pytest.raises(ValueError, match=expected):
+        run_filter(model, grid, schedule, obs, [ONE], generator=gen)
+    # an equal grid built separately (radius given as an int) is accepted
+    out = run_filter(model, grid, schedule, obs, [ONE],
+                     generator=assemble_generator(model, build_grid(1, 4, 241)))
+    assert out.estimates.shape == (101, 1)
+
+
 def test_clamp_guard_trips_on_violent_potential():
     def big_obs(points):
         return 10.0 * points

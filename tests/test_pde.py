@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
-from scipy.signal import convolve2d
+from scipy.signal import convolve
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from yyfilter.models import (
@@ -283,85 +283,193 @@ def test_stencil_polynomial_oracle_refinement_1d():
     assert 3.5 <= ratio <= 4.5, f"refinement ratio {ratio}"
 
 
-def _p2mul(a, b):
-    return convolve2d(a, b)
+def _pmul(a, b):
+    return convolve(a, b, method="direct")
 
 
-def _p2der(c, axis, times=1):
+def _pder(c, axis, times=1):
     for _ in range(times):
         n = c.shape[axis]
         if n <= 1:
-            return np.zeros((1, 1))
+            return np.zeros((1,) * c.ndim)
         factors = np.arange(1, n)
         c = np.take(c, np.arange(1, n), axis=axis)
-        shape = [1, 1]
+        shape = [1] * c.ndim
         shape[axis] = n - 1
         c = c * factors.reshape(shape)
     return c
 
 
-def _p2sum(*terms):
-    rows = max(t.shape[0] for t in terms)
-    cols = max(t.shape[1] for t in terms)
-    out = np.zeros((rows, cols))
+def _psum(*terms):
+    out = np.zeros(np.max([t.shape for t in terms], axis=0))
     for t in terms:
-        out[: t.shape[0], : t.shape[1]] += t
+        out[tuple(slice(0, n) for n in t.shape)] += t
     return out
 
 
-def test_stencil_polynomial_oracle_refinement_2d():
-    # constant cross-diffusion plus polynomial drift/observation exercises
-    # every stencil branch including the mixed second difference
-    a11 = np.array([[1.0], [0.0], [0.1]])  # 1 + 0.1 x^2
-    a22 = np.array([[1.2]])
-    a12 = np.array([[0.3]])
-    f1 = np.array([[0.0, 0.3], [-0.2, 0.0]])  # 0.3 y - 0.2 x
-    f2 = np.array([[0.0], [0.0], [0.1]])  # 0.1 x^2
-    h1 = np.array([[0.0], [0.5]])  # 0.5 x
-    h2 = np.array([[0.0, 0.2]])  # 0.2 y
-    u = _p2mul(
-        np.array([[1.0], [0.5], [-0.25]]), np.array([[1.0, -0.3, 0.2]])
-    )  # separable smooth polynomial
+def _pval(c, points):
+    return (P.polyval2d if c.ndim == 2 else P.polyval3d)(*points.T, c)
 
-    target = _p2sum(
-        0.5 * _p2der(_p2mul(a11, u), 0, 2),
-        0.5 * _p2der(_p2mul(a22, u), 1, 2),
-        _p2der(_p2der(_p2mul(a12, u), 0), 1),
-        -_p2der(_p2mul(f1, u), 0),
-        -_p2der(_p2mul(f2, u), 1),
-        -0.5 * _p2mul(_p2mul(h1, h1), u),
-        -0.5 * _p2mul(_p2mul(h2, h2), u),
-    )
 
-    def val2(c, pts):
-        return P.polyval2d(pts[:, 0], pts[:, 1], c)
+def _poly_model(a, f, h):
+    """2D/3D model with polynomial coefficients (arrays indexed by the
+    powers of x, y[, z]): a maps (i, j), i <= j, to a^ij (absent pairs are
+    0); f and h list f_i and h_i."""
+    d = len(f)
 
     def drift(points):
-        return np.stack([val2(f1, points), val2(f2, points)], axis=1)
+        return np.stack([_pval(c, points) for c in f], axis=1)
 
     def diffusion(points):
-        n = points.shape[0]
-        a = np.empty((n, 2, 2))
-        a[:, 0, 0] = val2(a11, points)
-        a[:, 1, 1] = val2(a22, points)
-        a[:, 0, 1] = a[:, 1, 0] = val2(a12, points)
-        return np.linalg.cholesky(a)  # g with g g^T = a
+        a_nodes = np.zeros((points.shape[0], d, d))
+        for (i, j), c in a.items():
+            a_nodes[:, i, j] = a_nodes[:, j, i] = _pval(c, points)
+        return np.linalg.cholesky(a_nodes)  # g with g g^T = a
 
     def obs(points):
-        return np.stack([val2(h1, points), val2(h2, points)], axis=1)
+        return np.stack([_pval(c, points) for c in h], axis=1)
 
-    m = _model(2, drift, diffusion, obs)
+    return _model(d, drift, diffusion, obs)
+
+
+def _poly_refinement_ratio(a, f, h, u, points):
+    """Max error of the assembled A u against the analytic generator on
+    [-1/2, 1/2]^d, on the coarser grid over the finer one."""
+    target = _psum(
+        *(0.5 * _pder(_pmul(c, u), i, 2) if i == j else _pder(_pder(_pmul(c, u), i), j)
+          for (i, j), c in a.items()),
+        *(-_pder(_pmul(c, u), i) for i, c in enumerate(f)),
+        *(-0.5 * _pmul(_pmul(c, c), u) for c in h),
+    )
+    m = _poly_model(a, f, h)
     errors = []
-    for points in (21, 41):
-        g = build_grid(2, 1.0, points)
-        gen = assemble_generator(m, g)
-        uvals = val2(u, g.coords)
-        applied = gen.matrix @ uvals
-        exact = val2(target, g.coords)
+    for n in points:
+        g = build_grid(len(f), 1.0, n)
+        applied = assemble_generator(m, g).matrix @ _pval(u, g.coords)
         sel = np.max(np.abs(g.coords), axis=1) <= 0.5
-        errors.append(np.max(np.abs(applied[sel] - exact[sel])))
-    ratio = errors[0] / errors[1]
+        errors.append(np.max(np.abs(applied[sel] - _pval(target, g.coords)[sel])))
+    return errors[0] / errors[1]
+
+
+# constant cross-diffusion plus polynomial drift/observation exercises
+# every 2D stencil branch including the mixed second difference
+CROSS_2D = dict(
+    a={
+        (0, 0): np.array([[1.0], [0.0], [0.1]]),  # 1 + 0.1 x^2
+        (1, 1): np.array([[1.2]]),
+        (0, 1): np.array([[0.3]]),
+    },
+    f=[np.array([[0.0, 0.3], [-0.2, 0.0]]), np.array([[0.0], [0.0], [0.1]])],  # 0.3 y - 0.2 x, 0.1 x^2
+    h=[np.array([[0.0], [0.5]]), np.array([[0.0, 0.2]])],  # 0.5 x, 0.2 y
+)
+
+
+def test_stencil_polynomial_oracle_refinement_2d():
+    u = _pmul(
+        np.array([[1.0], [0.5], [-0.25]]), np.array([[1.0, -0.3, 0.2]])
+    )  # separable smooth polynomial
+    ratio = _poly_refinement_ratio(**CROSS_2D, u=u, points=(21, 41))
     assert 3.5 <= ratio <= 4.5, f"refinement ratio {ratio}"
+
+
+def _p3(coefs):
+    """3D coefficient array from {(px, py, pz): c}."""
+    out = np.zeros((3, 3, 3))
+    for powers, c in coefs.items():
+        out[powers] = c
+    return out
+
+
+def test_stencil_polynomial_oracle_refinement_3d():
+    # cross-diffusion in all three pairs (a^13 varies with y) exercises the
+    # 3D mixed second differences
+    a = {
+        (0, 0): _p3({(0, 0, 0): 1.0, (2, 0, 0): 0.1}),  # 1 + 0.1 x^2
+        (1, 1): _p3({(0, 0, 0): 1.2}),
+        (2, 2): _p3({(0, 0, 0): 1.1, (0, 0, 2): 0.1}),  # 1.1 + 0.1 z^2
+        (0, 1): _p3({(0, 0, 0): 0.3}),
+        (0, 2): _p3({(0, 0, 0): 0.2, (0, 1, 0): 0.05}),  # 0.2 + 0.05 y
+        (1, 2): _p3({(0, 0, 0): -0.1}),
+    }
+    f = [
+        _p3({(0, 1, 0): 0.3, (1, 0, 0): -0.2}),  # 0.3 y - 0.2 x
+        _p3({(2, 0, 0): 0.1}),  # 0.1 x^2
+        _p3({(0, 0, 1): 0.2, (1, 1, 0): -0.1}),  # 0.2 z - 0.1 x y
+    ]
+    h = [_p3({(1, 0, 0): 0.5}), _p3({(0, 1, 0): 0.2}), _p3({(0, 0, 1): 0.3})]
+    u = _pmul(
+        _pmul(np.array([[[1.0]], [[0.5]], [[-0.25]]]), np.array([[[1.0], [-0.3], [0.2]]])),
+        np.array([[[1.0, 0.2, -0.3]]]),
+    )  # separable smooth polynomial
+    ratio = _poly_refinement_ratio(a, f, h, u, points=(21, 41))
+    assert 3.5 <= ratio <= 4.5, f"refinement ratio {ratio}"
+
+
+def _reference_generator(model, grid):
+    """The generator assembled as COO with every stencil entry, zeros
+    included, then converted to CSR."""
+    d, M, dx = grid.dim, grid.points_per_axis, grid.spacing
+    a = model.diffusion_sq(grid.coords)
+    f = np.asarray(model.drift(grid.coords), dtype=float)
+    h = np.asarray(model.observation(grid.coords), dtype=float)
+    strides = np.array([M**k for k in range(d - 1, -1, -1)], dtype=np.int64)
+    interior = np.where(grid.interior_mask)[0]
+    a_diag = a[:, np.arange(d), np.arange(d)]
+    rows, cols = [interior], [interior]
+    data = [-np.sum(a_diag[interior], axis=1) / dx**2 - 0.5 * np.sum(h[interior] ** 2, axis=1)]
+    for ax in range(d):
+        for sgn in (1, -1):
+            nb = interior + sgn * strides[ax]
+            rows.append(interior)
+            cols.append(nb)
+            data.append(a[nb, ax, ax] / (2 * dx**2) - sgn * f[nb, ax] / (2 * dx))
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    nb = interior + si * strides[i] + sj * strides[j]
+                    rows.append(interior)
+                    cols.append(nb)
+                    data.append(si * sj * a[nb, i, j] / (4 * dx**2))
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_nodes, grid.n_nodes),
+    ).tocsr()
+
+
+_CONST = _p3({(0, 0, 0): 1.0})
+_ZERO = _p3({})
+A12_ONLY_3D = _poly_model(
+    {(0, 0): _CONST, (1, 1): _CONST, (2, 2): _CONST, (0, 1): 0.3 * _CONST}, [_ZERO] * 3, [_ZERO] * 3
+)
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        (builtin_model("cubic_sensor"), build_grid(1, 6.0, 241)),
+        (_poly_model(**CROSS_2D), build_grid(2, 1.0, 21)),
+        # R = 5 on 21^3 also zeroes axis couplings where f dx = a exactly
+        (builtin_model("linearNd", 3), build_grid(3, 5.0, 21)),
+        (A12_ONLY_3D, build_grid(3, 1.0, 11)),
+    ],
+    ids=["cubic_sensor_1d", "cross_2d", "linearNd_3d", "a12_only_3d"],
+)
+def test_generator_stores_exactly_the_nonzero_reference_entries(model, grid):
+    A = assemble_generator(model, grid).matrix
+    ref = _reference_generator(model, grid)
+    ref.eliminate_zeros()
+    np.testing.assert_array_equal(A.data, ref.data)
+    np.testing.assert_array_equal(A.indices, ref.indices)
+    np.testing.assert_array_equal(A.indptr, ref.indptr)
+    assert A.has_canonical_format
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert np.all(A.data != 0)
+    if model is A12_ONLY_3D:
+        # 7 diagonal and axis entries plus the 4 of the one coupled pair
+        row_nnz = np.diff(A.indptr)
+        assert np.all(row_nnz[grid.interior_mask] == 11)
+        assert np.all(row_nnz[grid.boundary_mask] == 0)
 
 
 # ---------------------------------------------------------------------------
