@@ -97,8 +97,9 @@ def run_filter(
     (N, S) field, the hook sees that batched field, and the result is one
     FilterOutput per path, each bit-identical to running that path alone.
 
-    Raises MassCollapseError if the mantissa mass drops below 1e-300
-    before renormalization or if a propagation step clamps more than
+    Raises ValueError if `generator` was assembled on another grid, and
+    MassCollapseError if the mantissa mass drops below 1e-300 before
+    renormalization or if a propagation step clamps more than
     CLAMP_TOLERANCE of the field mass.
     """
     single = isinstance(obs, ObservationPath)
