@@ -14,7 +14,6 @@ import numpy as np
 
 from yyfilter import (
     TimeSchedule,
-    assemble_generator,
     build_grid,
     builtin_model,
     coordinate,
@@ -39,14 +38,13 @@ def main():
 
     model = builtin_model("linear1d")
     grid = build_grid(1, args.radius, args.points)
-    gen = assemble_generator(model, grid)
     schedule = TimeSchedule(args.terminal, args.steps)
     phi = [coordinate(0)]
 
     started = time.time()
     seeds = range(args.seeds)
     obs = [ys for _, ys in simulate(model, schedule, substeps=args.substeps, seed=seeds)]
-    outs = run_filter(model, grid, schedule, obs, phi, substeps=args.substeps, generator=gen)
+    outs = run_filter(model, grid, schedule, obs, phi, substeps=args.substeps)
     gaps = [
         float(np.mean(np.abs(out.estimates[1:, 0] - kal.means[1:, 0])))
         for out, kal in zip(outs, kalman_filter(model, schedule, obs))

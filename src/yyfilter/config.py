@@ -73,7 +73,7 @@ def parse_test_function(label: str) -> TestFunction:
 
 def _coord_index(token: str) -> int:
     token = token.strip()
-    if not token.startswith("x") or not token[1:].isdigit():
+    if not token.startswith("x") or not token[1:].isdigit() or int(token[1:]) < 1:
         raise ConfigError(f"unknown test function label {token!r}; use x1, x2^2, x1*x2, ...")
     return int(token[1:]) - 1
 
@@ -193,7 +193,16 @@ def load_config(path) -> ExperimentConfig:
         if s.strip()
     )
     for lb in labels:
-        parse_test_function(lb)
+        try:
+            parse_test_function(lb)
+        except ConfigError as exc:
+            raise ConfigError(f"field [filter] test_functions: {exc}") from exc
+        for token in lb.replace("^2", "").split("*"):
+            if _coord_index(token) >= model.dim:
+                raise ConfigError(
+                    f"field [filter] test_functions: {lb!r} reads a coordinate beyond "
+                    f"the model's dim {model.dim}"
+                )
 
     baseline = _get(parser, "baseline", "method", "kalman")
     if baseline not in ("kalman", "bootstrap_pf", "ks_monte_carlo"):
@@ -208,7 +217,11 @@ def load_config(path) -> ExperimentConfig:
     sweep_values = need_floats("sweep", "values", "0.02, 0.01, 0.005")
     if not all(v > 0 for v in sweep_values):
         raise ConfigError("field [sweep] values must all be positive")
+    if sweep_axis == "R" and not all(v > 1 for v in sweep_values):
+        raise ConfigError("field [sweep] values: each radius must exceed 1 (mollifier support)")
     sweep_dx = need_float("sweep", "dx", "0.05")
+    if sweep_dx <= 0:
+        raise ConfigError("field [sweep] dx must be positive")
     oracle = _get(parser, "sweep", "oracle", "kalman")
     if oracle not in ("kalman", "fine_oracle", "bootstrap_pf"):
         raise ConfigError(f"field [sweep] oracle: unknown oracle {oracle!r}")

@@ -277,24 +277,23 @@ def exp_moment_step_check(
     dts: Sequence[float],
     n_samples: int = 1000,
     seed: int = 0,
-    field: Optional[DensityField] = None,
 ) -> ExpMomentReport:
     """One-step quartic-mass amplification under Gaussian increments.
 
-    For a fixed field v, estimates E integral (exp(h^T dY) v)^4 /
-    integral v^4 over dY ~ N(0, dt I) per dt, then fits
+    For the model's discretized initial field v, estimates
+    E integral (exp(h^T dY) v)^4 / integral v^4 over dY ~ N(0, dt I) per dt, then fits
     (amplification - 1) against dt by weighted least squares.  Passes
     when the fitted intercept is within two standard errors of zero
     (the law is linear through the origin at first order).
     """
     if n_samples < 100:
         raise ValueError("need at least 100 increment samples per dt")
-    v = field if field is not None else discretize_initial(model, grid)
-    w = v.grid.trap_weights * v.values**4
+    v = discretize_initial(model, grid)
+    w = grid.trap_weights * v.values**4
     denom = float(w.sum())
     if denom <= 0:
         raise ValueError("field must have positive quartic mass")
-    h = np.asarray(model.observation(v.grid.coords), dtype=float)
+    h = np.asarray(model.observation(grid.coords), dtype=float)
     rng = np.random.default_rng(seed)
 
     amps, errs = [], []
@@ -416,6 +415,10 @@ def _kalman_readout(result, label: str) -> np.ndarray:
     raise ValueError(f"kalman oracle cannot evaluate test function {label!r}")
 
 
+# The oracle and the simulated paths run at the finest swept dt divided by this.
+_ORACLE_REFINE = 4
+
+
 def convergence_sweep(
     model: FilterModel,
     grid: Grid,
@@ -427,12 +430,11 @@ def convergence_sweep(
     substeps: int = 4,
     sim_substeps: int = 2,
     oracle_particles: int = 10_000,
-    oracle_refine: int = 4,
 ) -> SweepResult:
     """Mean |estimate - oracle| against dt.
 
     Per seed, one observation path is simulated at the finest dt over
-    `oracle_refine` and subsampled to every coarser level; the oracle
+    _ORACLE_REFINE and subsampled to every coarser level; the oracle
     (near-exact reference) is computed once at that simulation
     resolution and read at coarse knots.  The paths of all seeds run as
     one batch: one simulation, one Kalman or fine-oracle run, and one
@@ -446,8 +448,6 @@ def convergence_sweep(
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle == "kalman" and model.linear is None:
         raise ValueError("kalman oracle requires a linear model")
-    if oracle_refine < 1:
-        raise ValueError("oracle_refine must be >= 1")
     finest = min(deltas)
     for d in deltas:
         ratio = d / finest
@@ -456,7 +456,7 @@ def convergence_sweep(
                              "multiple of the finest dt")
     phi = phi if phi is not None else coordinate(0)
 
-    k_sim = round(terminal / finest) * oracle_refine
+    k_sim = round(terminal / finest) * _ORACLE_REFINE
     sim_sched = TimeSchedule(terminal, k_sim)
     obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=sim_substeps, seed=seeds)]
     if oracle == "kalman":

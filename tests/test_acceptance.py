@@ -103,7 +103,7 @@ def test_c2_convergence_rate():
     deltas = [0.02, 0.01, 0.005, 0.0025]
     res = convergence_sweep(
         model, grid, 1.0, deltas, SEEDS_50, oracle="kalman", phi=coordinate(0),
-        substeps=4, sim_substeps=2, oracle_refine=4,
+        substeps=4, sim_substeps=2,
     )
     halving = res.mean_err[-1] <= 0.5 * res.mean_err[0]
     meets_rate = res.slope >= 0.35

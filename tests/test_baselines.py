@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from yyfilter.baselines import (
-    WeightedEnsemble,
     _discrete_transition,
+    _ess,
+    _normalized_weights,
     bootstrap_pf,
     fine_oracle,
     kalman_filter,
@@ -241,10 +242,11 @@ def test_baselines_deterministic_given_seed(linear1d):
 
 
 def test_weighted_ensemble_invariants():
-    ens = WeightedEnsemble(np.zeros((4, 1)), np.array([0.0, -1.0, -2.0, -3.0]))
-    w = ens.normalized_weights()
+    w = _normalized_weights(np.array([0.0, -1.0, -2.0, -3.0]))
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert 1.0 <= ens.ess() <= 4.0
+    assert 1.0 <= _ess(w) <= 4.0
+    # shifting every log-weight leaves the weights unchanged, far past exp's range
+    assert_allclose(_normalized_weights(np.array([0.0, -1.0, -2.0, -3.0]) + 1e4), w)
 
 
 def test_fine_oracle_factor_one_identity(linear1d):

@@ -2,6 +2,7 @@ import json
 import logging
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from yyfilter.cli import main
 from yyfilter.config import ConfigError, load_config, parse_test_function
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = """\
 [model]
@@ -80,6 +82,8 @@ def test_test_function_labels():
     assert parse_test_function("x1*x2").label == "x1*x2"
     with pytest.raises(ConfigError):
         parse_test_function("banana")
+    with pytest.raises(ConfigError):  # coordinates count from x1; x0 once read the last one
+        parse_test_function("x0")
 
 
 def test_cmd_filter_writes_csv_with_header(tmp_path):
@@ -170,6 +174,12 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("filter", "substep = 8", "[filter] substep"),
         ("run", "workers = 2", "[run] workers"),
         ("outputs", "directory = x", "[outputs]"),
+        ("sweep", "dx = 0", "[sweep] dx"),
+        ("sweep", "dx = -0.05", "[sweep] dx"),
+        ("sweep", "axis = R\nvalues = 0.5, 2", "[sweep] values"),
+        ("filter", "test_functions = x3", "[filter] test_functions"),
+        ("filter", "test_functions = x1, x1*x2", "[filter] test_functions"),
+        ("filter", "test_functions = x0", "[filter] test_functions"),
     ],
 )
 def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line, field):
@@ -229,3 +239,21 @@ def test_cmd_sweep_default_band_is_one_sided(tmp_path):
     payload = json.loads((out / "summary.json").read_text().splitlines()[1])
     assert payload["slope_in_band"] is False and payload["pass"] is False
     assert code == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_shipped_config_loads(name):
+    # a config field renamed or removed in the loader must fail here, not in a user's run
+    load_config(str(CONFIGS / name))
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("convergence_rate.ini", 4), ("radius_truncation.ini", 3)]
+)
+def test_shipped_sweep_config_writes_its_table(tmp_path, name, rows):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].startswith("# yyfilter ")
+    assert lines[1] == "axis,value,mean_err,stderr,n"
+    assert len(lines) == 2 + rows

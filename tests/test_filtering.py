@@ -249,6 +249,20 @@ def test_2d_filter_tracks_kalman():
     assert err < 5e-3
 
 
+def test_long_horizon_keeps_mass_representable():
+    # K = 1e5 knots (T = 100 at dt = 1e-3): the renormalized mass must neither
+    # overflow nor underflow, and the estimate must still track Kalman within C1's bound.
+    model = builtin_model("linear1d")
+    grid = build_grid(1, 6.0, 241)
+    schedule = TimeSchedule(100.0, 100_000)
+    _, obs = simulate(model, schedule, substeps=1, seed=7)
+    out = run_filter(model, grid, schedule, obs, [coordinate(0)])
+    assert np.all(np.isfinite(out.mass_log_scale))
+    assert np.all((out.mass_mantissa > 0) & (out.mass_mantissa <= 1))
+    kal = kalman_filter(model, schedule, obs)
+    assert np.mean(np.abs(out.estimates[1:, 0] - kal.means[1:, 0])) <= 0.05 * math.sqrt(0.5)
+
+
 def test_3d_filter_batch_tracks_kalman():
     # Two paths as one batch, so the per-column BiCGSTAB route runs in 3D.
     model = builtin_model("linearNd", dim=3)

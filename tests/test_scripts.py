@@ -26,15 +26,9 @@ def _run(script, *args):
     [
         ("kalman_agreement.py", ["--seeds", "2", "--steps", "20", "--points", "61"],
          "seed,mean_abs_gap", 2),
-        ("convergence_rate.py",
-         ["--deltas", "0.1,0.05", "--terminal", "0.2", "--seeds", "2", "--points", "61"],
-         "axis,value,mean_err,stderr,n", 2),
         # the script fixes its grid at 241 points
         ("nonlinear_crossval.py", ["--seeds", "2", "--steps", "20", "--particles", "500"],
          "seed,mean_abs_gap,frac_within_3se", 2),
-        ("radius_truncation.py",
-         ["--radii", "3,4.5,6", "--dx", "0.25", "--seeds", "2", "--steps", "20"],
-         "axis,value,mean_err,stderr,n", 3),
     ],
 )
 def test_script_writes_its_table(tmp_path, script, args, header, rows):
