@@ -107,7 +107,7 @@ def kalman_filter(
     covs = np.empty((K + 1, d, d))
     m, P = np.tile(lin.prior_mean, (len(paths), 1)), lin.prior_cov.copy()
     means[:, 0], covs[0] = m, P
-    dys = np.stack([observation_increments(p) for p in paths], axis=1)  # (K, S, d)
+    dys = np.stack([observation_increments(p, schedule) for p in paths], axis=1)  # (K, S, d)
     eye = np.eye(d)
     for k in range(1, K + 1):
         m = m @ Ad.T
@@ -169,7 +169,7 @@ def ks_monte_carlo(
     rng = _rng_for(seed)
     x = model.sample_initial(rng, n_particles)
     logw = np.zeros(n_particles)
-    dys = observation_increments(obs)
+    dys = observation_increments(obs, schedule)
 
     n_phi = len(test_functions)
     est = np.empty((K + 1, n_phi))
@@ -233,7 +233,7 @@ def bootstrap_pf(
     rng = _rng_for(seed)
     x = model.sample_initial(rng, n_particles)
     logw = np.zeros(n_particles)
-    dys = observation_increments(obs)
+    dys = observation_increments(obs, schedule)
 
     n_phi = len(test_functions)
     est = np.empty((K + 1, n_phi))

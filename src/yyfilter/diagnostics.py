@@ -28,7 +28,9 @@ import numpy as np
 from .baselines import bootstrap_pf, fine_oracle, kalman_filter
 from .filtering import run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
-from .pde import DensityField, Grid, assemble_generator, build_grid, discretize_initial, propagate
+from .pde import (
+    DensityField, Grid, assemble_generator, build_grid, discretize_initial, integrate, propagate
+)
 from .sde import simulate, subsample
 from .tables import csv_table
 
@@ -63,18 +65,14 @@ def tail_mass(field: DensityField, r: float) -> float:
     region = np.where(
         grid.node_radii > r + tol, 1.0, np.where(grid.node_radii >= r - tol, 0.5, 0.0)
     )
-    w = grid.trap_weights
-    total = float(np.dot(w, field.values))
-    return float(np.dot(w * region, field.values)) / total
+    return integrate(field, region) / integrate(field)
 
 
 def moment(field: DensityField, order: int) -> float:
     """Normalized radial moment: integral of |x|^order against the field / mass."""
     if order < 2 or order % 2:
         raise ValueError("order must be an even integer >= 2")
-    w = field.grid.trap_weights
-    total = float(np.dot(w, field.values))
-    return float(np.dot(w, field.grid.node_radii**order * field.values)) / total
+    return integrate(field, field.grid.node_radii**order) / integrate(field)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +120,7 @@ def _seed_readouts(model, grid, gen, schedules, seeds, substeps, stage, readout)
 
 
 def _unnormalized_log_moment(field: DensityField, weight_nodes: np.ndarray) -> float:
-    w = field.grid.trap_weights
-    val = float(np.dot(w, weight_nodes * field.values))
+    val = integrate(field, weight_nodes)
     if val <= 0:
         return -math.inf
     return math.log(val) + field.log_scale
@@ -235,9 +232,8 @@ def l4_stability_check(
         raise ValueError("need at least 10 seeds")
 
     gen = assemble_generator(model, grid)
-    h_nodes = np.asarray(model.observation(grid.coords), dtype=float)
     levels = _seed_readouts(model, grid, gen, schedules, obs_seeds, substeps, "propagated",
-                            lambda fld, y_prev: _reconstructed_log_norms(fld, h_nodes, y_prev))
+                            lambda fld, y: _reconstructed_log_norms(fld, gen.observation, y))
     sup_l2, sup_l4 = [], []
     for norms, sched in zip(levels, schedules):  # (seeds, steps, 2)
         l2_knots = np.array([_logmeanexp(norms[:, k, 0]) for k in range(sched.steps)])

@@ -6,9 +6,10 @@ knot interval, multiplies by exp(h^T dY), records the ratio estimates,
 and renormalizes so the stored mantissa field always has unit mass (the
 true scale lives in log_scale).  Estimates are recorded at tau_k right
 after the exponential update; the ratio makes them invariant to any
-positive rescaling of the initial density.  A batch of S observation
-paths runs as one (N, S) field with a log-scale per column; a single path
-runs through the same loop as an (N,) field.
+positive rescaling of the initial density.  The update reads h from the
+generator's node table, so the loop makes no model callback.  A batch of
+S observation paths runs as one (N, S) field with a log-scale per column;
+a single path runs through the same loop as an (N,) field.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .pde import (
     assemble_generator,
     discretize_initial,
     exp_update,
+    integrate,
     propagate,
 )
 from .sde import ObservationPath, observation_increments
@@ -68,11 +70,10 @@ def estimate(field: DensityField, phi: TestFunction) -> float:
     Both integrals share the field's log_scale, so the ratio is a plain
     mantissa division.
     """
-    w = field.grid.trap_weights
-    mass = float(np.dot(w, field.values))
+    mass = integrate(field)
     if mass <= 0:
         raise MassCollapseError("field has zero mass; estimate undefined")
-    return float(np.dot(w, phi(field.grid.coords) * field.values)) / mass
+    return integrate(field, phi(field.grid.coords)) / mass
 
 
 def run_filter(
@@ -97,15 +98,14 @@ def run_filter(
     (N, S) field, the hook sees that batched field, and the result is one
     FilterOutput per path, each bit-identical to running that path alone.
 
-    Raises ValueError if `generator` was assembled on another grid, and
-    MassCollapseError if the mantissa mass drops below 1e-300 before
-    renormalization or if a propagation step clamps more than
-    CLAMP_TOLERANCE of the field mass.
+    Raises ValueError if a path is on another schedule or `generator` was
+    assembled on another grid, and MassCollapseError if the mantissa mass
+    drops below 1e-300 before renormalization or if a propagation step
+    clamps more than CLAMP_TOLERANCE of the field mass.
     """
     single = isinstance(obs, ObservationPath)
     paths = [obs] if single else list(obs)
-    if any(p.schedule != schedule for p in paths):
-        raise ValueError("observation path is on a different schedule")
+    increments = np.stack([observation_increments(p, schedule) for p in paths], axis=1)  # K, S, d
     gen = generator if generator is not None else assemble_generator(model, grid)
     if str(gen.grid) != str(grid):
         raise ValueError(f"generator was assembled on {gen.grid}, not on the filter's {grid}")
@@ -147,7 +147,6 @@ def run_filter(
         return m if single else mass_m[k]
 
     mass = record(0, field)
-    increments = np.stack([observation_increments(p) for p in paths], axis=1)  # (K, S, d)
 
     for k in range(1, K + 1):
         field = propagate(gen, field, dt, substeps)
@@ -160,7 +159,7 @@ def run_filter(
             )
         if field_hook is not None:
             field_hook(k, "propagated", field)
-        field = exp_update(field, model, increments[k - 1])
+        field = exp_update(field, gen.observation, increments[k - 1])
         if field_hook is not None:
             field_hook(k, "updated", field)
         mass = record(k, field)

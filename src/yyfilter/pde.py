@@ -10,33 +10,33 @@ radii).  The generator discretizes
 with second-order central differences in conservative form: derivatives
 act on the products a^ij u and f_i u, evaluated at the source node of
 each stencil entry; only nonzero couplings are stored (under a diagonal
-diffusion, 7 of the 19 stencil entries of a 3D interior row).  Time
-stepping is Crank-Nicolson.  Its implicit side I - c A depends only on
-the generator and on c = dt / (2 substeps), so it is prepared once per
-generator and step size, on first use: in 1D an LU factorization of the
-tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the left-hand-side CSR
-matrix and its Jacobi preconditioner for BiCGSTAB at relative residual
-1e-10.
+diffusion, 7 of the 19 stencil entries of a 3D interior row), and h is
+kept at the nodes for the exponential update.  Time stepping is
+Crank-Nicolson, one stage loop for every dimension.  Its implicit side
+I - c A depends only on the generator and on c = dt / (2 substeps), so it
+is prepared once per generator and step size, on first use: in 1D an LU
+factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the
+left-hand-side CSR matrix and its Jacobi preconditioner for BiCGSTAB at
+relative residual 1e-10.
 
 Fields carry a log-scale factor: a DensityField represents
-exp(log_scale) * values, and integrals come back as (mantissa, log_scale)
-pairs so the online loop never underflows.  Renormalization policy lives
-in the filter loop, not here.
+exp(log_scale) * values so the online loop never underflows; integrals
+read the stored values.  Renormalization policy lives in the filter
+loop, not here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .models import FilterModel, TestFunction, as_points
+from .models import FilterModel
 from .tables import csv_table
 
 
@@ -46,17 +46,6 @@ class AssemblyError(ValueError):
 
 class SolverError(RuntimeError):
     """Linear solve failed or produced non-finite values."""
-
-
-class ScaledValue(NamedTuple):
-    """A scalar represented as mantissa * exp(log_scale)."""
-
-    mantissa: float
-    log_scale: float
-
-    @property
-    def value(self) -> float:
-        return self.mantissa * math.exp(self.log_scale)
 
 
 @dataclass(frozen=True)
@@ -176,9 +165,6 @@ class DensityField:
             for v, ls, cm in zip(rows, self.log_scale, self.clamped_mass)
         ]
 
-    def mass(self) -> ScaledValue:
-        return integrate(self, None)
-
     def to_csv(self) -> str:
         return csv_table(
             [*(f"x_{i + 1}" for i in range(self.grid.dim)), "value"],
@@ -202,26 +188,28 @@ def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:
 class _CNSystem(NamedTuple):
     """The implicit side I - c A of a Crank-Nicolson stage, ready to solve.
 
-    `factors` is dgttrf's (dl, d, du, du2, ipiv) on 1D grids and
-    (lhs CSR matrix, inverse of its diagonal) on 2D/3D grids.
+    `solve(b, x0)` solves (I - c A) x = b for b of shape (N,) or (N, S),
+    one column per field, starting from x0 where the solver iterates.
     """
 
     c: float
-    factors: tuple
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class DiscreteGenerator:
     """Sparse discretization of the per-step evolution operator.
 
-    Rows for boundary nodes are zero (Dirichlet).  `propagate` prepares the
-    Crank-Nicolson system for a step size on first use and keeps it in
-    `_cn`, one slot holding the last step size, so a run at fixed dt
-    factors once and the factors die with the generator.
+    Rows for boundary nodes are zero (Dirichlet).  `observation` is the
+    model's h at the nodes, (N, d).  `propagate` prepares the Crank-Nicolson
+    system for a step size on first use and keeps it in `_cn`, one slot
+    holding the last step size, so a run at fixed dt factors once and the
+    factors die with the generator.
     """
 
     grid: Grid
     matrix: sp.csr_matrix
+    observation: np.ndarray
     _cn: Optional[_CNSystem] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
 
@@ -288,11 +276,14 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
     indptr[interior + 1] = np.count_nonzero(keep, axis=1)
     cols = (interior[:, None] + stencil @ strides)[keep]
     mat = sp.csr_matrix((data[keep], cols, np.cumsum(indptr)), shape=(N, N))
-    return DiscreteGenerator(grid=grid, matrix=mat)
+    return DiscreteGenerator(grid=grid, matrix=mat, observation=h)
 
 
 def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
-    """The prepared I - c A of `gen`, rebuilt only when c differs from the cached one."""
+    """The prepared I - c A of `gen`, rebuilt only when c differs from the cached one.
+
+    The only place where the grid's dimension picks the solver.
+    """
     cn = gen._cn
     if cn is not None and cn.c == c:
         return cn
@@ -301,43 +292,34 @@ def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
         *lu, info = lapack.dgttrf(-c * A.diagonal(-1), 1.0 - c * A.diagonal(), -c * A.diagonal(1))
         if info > 0:
             raise SolverError(f"Crank-Nicolson matrix is singular (dgttrf info={info})")
-        factors = tuple(lu)
+
+        def solve(b, x0):
+            return lapack.dgttrs(*lu, b, overwrite_b=1)[0]
     else:
         lhs = (sp.identity(A.shape[0], format="csr") - c * A).tocsr()
         lhs_diag = lhs.diagonal()
         if not np.all(lhs_diag):
             raise SolverError("Crank-Nicolson matrix has a zero diagonal entry")
-        factors = (lhs, 1.0 / lhs_diag)
-    cn = _CNSystem(c, factors)
+        inv_diag = 1.0 / lhs_diag
+        precond = LinearOperator(lhs.shape, matvec=lambda x: inv_diag * x)
+
+        def solve(b, x0):
+            rhs = np.ascontiguousarray(b.reshape(len(b), -1).T)
+            starts = np.ascontiguousarray(x0.reshape(len(x0), -1).T)
+            for s, (col, start) in enumerate(zip(rhs, starts)):
+                # looked up at call time: a wrapper on yyfilter.pde.bicgstab sees every solve
+                x, info = bicgstab(lhs, col, x0=start, rtol=1e-10, atol=0.0, M=precond,
+                                   maxiter=2000)
+                if info != 0:
+                    raise SolverError(
+                        f"implicit solve did not converge (bicgstab info={info}, "
+                        f"iteration budget 2000)"
+                    )
+                rhs[s] = x
+            return rhs.T.reshape(b.shape)
+    cn = _CNSystem(c, solve)
     object.__setattr__(gen, "_cn", cn)
     return cn
-
-
-def _cn_banded_step(gen: DiscreteGenerator, v: np.ndarray, cn: _CNSystem, n_steps: int):
-    A, c = gen.matrix, cn.c
-    for _ in range(n_steps):
-        v, _ = lapack.dgttrs(*cn.factors, v + c * (A @ v), overwrite_b=1)
-    return v
-
-
-def _cn_krylov_step(gen: DiscreteGenerator, v: np.ndarray, cn: _CNSystem, n_steps: int):
-    A, c = gen.matrix, cn.c
-    lhs, inv_diag = cn.factors
-    precond = LinearOperator(lhs.shape, matvec=lambda x: inv_diag * x)
-    cols = v.reshape(len(v), -1)
-    for _ in range(n_steps):
-        rhs = np.ascontiguousarray((cols + c * (A @ cols)).T)
-        x0s = np.ascontiguousarray(cols.T)
-        for s, (b, x0) in enumerate(zip(rhs, x0s)):
-            x, info = bicgstab(lhs, b, x0=x0, rtol=1e-10, atol=0.0, M=precond, maxiter=2000)
-            if info != 0:
-                raise SolverError(
-                    f"implicit solve did not converge (bicgstab info={info}, "
-                    f"iteration budget 2000)"
-                )
-            rhs[s] = x
-        cols = rhs.T
-    return cols.reshape(v.shape)
 
 
 def propagate(
@@ -358,10 +340,8 @@ def propagate(
         raise ValueError("substeps must be >= 1")
     cn = _cn_system(gen, dt / (2 * substeps))
     v = field.values.astype(float, copy=True)
-    if gen.grid.dim == 1:
-        v = _cn_banded_step(gen, v, cn, substeps)
-    else:
-        v = _cn_krylov_step(gen, v, cn, substeps)
+    for _ in range(substeps):
+        v = cn.solve(v + cn.c * (gen.matrix @ v), v)
     if not np.isfinite(v).all():
         raise SolverError("propagation produced non-finite values")
     w = field.grid.trap_weights
@@ -376,9 +356,10 @@ def propagate(
     )
 
 
-def exp_update(field: DensityField, model: FilterModel, dy: np.ndarray) -> DensityField:
+def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityField:
     """Multiply the field by exp(h(x)^T dy), rescaled to avoid overflow.
 
+    `h` is the (N, d) table of h at the nodes, `DiscreteGenerator.observation`.
     The maximum of the exponent over the field's support moves into
     log_scale, so the stored values never exceed their previous size.  A
     batch field takes one increment per column, `dy` of shape (S, d).
@@ -387,7 +368,6 @@ def exp_update(field: DensityField, model: FilterModel, dy: np.ndarray) -> Densi
     dys = np.asarray(dy, dtype=float).reshape(cols.shape[1], -1)
     if not np.isfinite(dys).all():
         raise ValueError("observation increment must be finite")
-    h = np.asarray(model.observation(field.grid.coords), dtype=float)
     # For d > 1 a gemm over the batch sums h^T dy in another order than the
     # one-field gemv, so the exponent is built column by column.
     expo = h @ dys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in dys])
@@ -398,16 +378,11 @@ def exp_update(field: DensityField, model: FilterModel, dy: np.ndarray) -> Densi
     return DensityField(field.grid, vals, field.log_scale + shift, field.clamped_mass)
 
 
-def integrate(field: DensityField, weight=None) -> ScaledValue:
-    """Trapezoid integral of weight * field over the grid.
+def integrate(field: DensityField, weight: Optional[np.ndarray] = None) -> float:
+    """Trapezoid integral of weight * values over the grid, for one field.
 
-    `weight` may be None (constant 1), a TestFunction, or a raw batched
-    callable.  The result is (mantissa, log_scale) with the field's
-    log-scale passed through untouched.
+    `weight` holds one value per node (None: constant 1).  The field's
+    log_scale is not applied, so a ratio of two integrals needs none.
     """
-    if weight is None:
-        w = field.values
-    else:
-        fn = weight.fn if isinstance(weight, TestFunction) else weight
-        w = np.asarray(fn(field.grid.coords), dtype=float) * field.values
-    return ScaledValue(float(np.dot(field.grid.trap_weights, w)), field.log_scale)
+    values = field.values if weight is None else weight * field.values
+    return float(np.dot(field.grid.trap_weights, values))

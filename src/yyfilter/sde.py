@@ -96,8 +96,10 @@ def simulate(
     return pairs[0] if single else pairs
 
 
-def observation_increments(path: ObservationPath) -> np.ndarray:
-    """Increments Y_{tau_k} - Y_{tau_{k-1}} for k = 1..K, shape (K, d)."""
+def observation_increments(path: ObservationPath, schedule: TimeSchedule) -> np.ndarray:
+    """Increments Y_{tau_k} - Y_{tau_{k-1}}, k = 1..K, of a path that must be on `schedule`."""
+    if path.schedule != schedule:
+        raise ValueError(f"observation path is on schedule {path.schedule}, not on {schedule}")
     return np.diff(path.values, axis=0)
 
 

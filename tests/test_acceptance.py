@@ -358,12 +358,13 @@ def test_c9_exp_update_additivity():
     model = builtin_model("linear1d")
     grid = build_grid(1, 6.0, 241)
     field = discretize_initial(model, grid)
+    h = model.observation(grid.coords)
     worst = 0.0
     rng = np.random.default_rng(99)
     for _ in range(20):
         d1, d2 = rng.uniform(-0.5, 0.5, size=2)
-        once = exp_update(field, model, np.array([d1 + d2]))
-        twice = exp_update(exp_update(field, model, np.array([d1])), model, np.array([d2]))
+        once = exp_update(field, h, np.array([d1 + d2]))
+        twice = exp_update(exp_update(field, h, np.array([d1])), h, np.array([d2]))
         a = once.values * np.exp(once.log_scale)
         b = twice.values * np.exp(twice.log_scale)
         worst = max(worst, float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-300)))

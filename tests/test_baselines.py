@@ -279,3 +279,29 @@ def test_pf_csv_schema(linear1d):
     lines = res.to_csv().splitlines()
     assert lines[0] == "t,x1,x1_stderr,ess"
     assert len(lines) == 6
+
+
+_CONSUMERS = {
+    "run_filter": lambda m, s, obs: run_filter(m, build_grid(1, 4.0, 41), s, obs, [coordinate(0)]),
+    "kalman_filter": lambda m, s, obs: kalman_filter(m, s, obs),
+    "bootstrap_pf": lambda m, s, obs: bootstrap_pf(m, s, obs, [coordinate(0)], 50, seed=1),
+    "ks_monte_carlo": lambda m, s, obs: ks_monte_carlo(m, s, obs, [coordinate(0)], 50, seed=1),
+}
+
+
+@pytest.mark.parametrize("consumer", list(_CONSUMERS))
+@pytest.mark.parametrize(
+    "recorded, expected",
+    [
+        # same step count, other dt: would filter at the wrong dt without an error
+        (TimeSchedule(2.0, 100), r"terminal=2\.0, steps=100.*terminal=1\.0, steps=100"),
+        # other step count: would die with an IndexError at knot 51
+        (TimeSchedule(0.5, 50), r"terminal=0\.5, steps=50.*terminal=1\.0, steps=100"),
+    ],
+    ids=["other_dt", "other_steps"],
+)
+def test_path_on_another_schedule_is_refused(consumer, recorded, expected):
+    m = builtin_model("linear1d")
+    _, obs = simulate(m, recorded, seed=2)
+    with pytest.raises(ValueError, match=expected):
+        _CONSUMERS[consumer](m, TimeSchedule(1.0, 100), obs)

@@ -141,7 +141,7 @@ def test_seed_batch_matches_one_seed_at_a_time(name, dim):
 def test_increments_difference_and_roundtrip():
     sched = TimeSchedule(1.0, 2)
     path = ObservationPath(sched, np.array([[0.0], [0.3], [0.1]]))
-    incs = observation_increments(path)
+    incs = observation_increments(path, sched)
     assert_allclose(incs, [[0.3], [-0.2]])
     rebuilt = np.vstack([[0.0], np.cumsum(incs, axis=0)])
     assert np.max(np.abs(rebuilt - path.values)) < 1e-14
@@ -150,7 +150,7 @@ def test_increments_difference_and_roundtrip():
 def test_constant_path_zero_increments():
     sched = TimeSchedule(1.0, 3)
     path = ObservationPath(sched, np.zeros((4, 1)))
-    assert_allclose(observation_increments(path), 0.0)
+    assert_allclose(observation_increments(path, sched), 0.0)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=30))
@@ -158,7 +158,7 @@ def test_prefix_sum_inverts_increments(values):
     vals = np.array([[0.0]] + [[v] for v in values])
     sched = TimeSchedule(1.0, len(values) + 1)
     path = ObservationPath(sched, vals)
-    rebuilt = np.vstack([[0.0], np.cumsum(observation_increments(path), axis=0)])
+    rebuilt = np.vstack([[0.0], np.cumsum(observation_increments(path, sched), axis=0)])
     assert np.max(np.abs(rebuilt - vals)) < 1e-14
 
 
