@@ -60,6 +60,19 @@ class KalmanResult:
             [self.schedule.knots, *self.means.T, *np.diagonal(self.covs, axis1=1, axis2=2).T],
         )
 
+    def readout(self, label: str) -> np.ndarray:
+        """Per-knot values of the moment readouts x_i, x_i^2, x_i*x_j."""
+        if "*" in label:
+            a, b = label.split("*")
+            i, j = int(a[1:]) - 1, int(b[1:]) - 1
+            return self.means[:, i] * self.means[:, j] + self.covs[:, i, j]
+        if label.endswith("^2"):
+            i = int(label[1:-2]) - 1
+            return self.means[:, i] ** 2 + self.covs[:, i, i]
+        if label.startswith("x"):
+            return self.means[:, int(label[1:]) - 1]
+        raise ValueError(f"kalman oracle cannot evaluate test function {label!r}")
+
 
 def _discrete_transition(F: np.ndarray, Q: np.ndarray, dt: float):
     """Exact moment propagation over dt via the block matrix exponential."""

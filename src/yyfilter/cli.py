@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .filtering import run_filter
 from .models import TimeSchedule, validate_assumptions
 from .pde import build_grid
 from .sde import paths_to_csv, simulate
+from .tables import csv_table
 
 log = logging.getLogger("yyfilter")
 
@@ -63,22 +65,32 @@ def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, _, schedule = _setup(cfg)
+    """Oracle files per seed, and agreement.csv: per seed, mean |grid - oracle| of the
+    first test function (and, for a particle oracle, the share of knots within 3 se)."""
+    model, grid, schedule = _setup(cfg)
     phis = cfg.test_functions()
     obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
+    outs = run_filter(model, grid, schedule, obs, phis[:1], substeps=cfg.substeps)
     if cfg.baseline == "kalman":
         results = kalman_filter(model, schedule, obs)
-    elif cfg.baseline == "bootstrap_pf":
-        results = [bootstrap_pf(model, schedule, ys, phis, cfg.particles, seed=seed)
-                   for seed, ys in zip(cfg.seeds, obs)]
+        refs = [res.readout(phis[0].label) for res in results]
     else:
-        results = [
-            ks_monte_carlo(model, schedule, ys, phis, cfg.particles, substeps=cfg.substeps,
-                           seed=seed)
-            for seed, ys in zip(cfg.seeds, obs)
+        # offset the particle stream from the path's own, which drew the hidden X_0
+        oracle = bootstrap_pf if cfg.baseline == "bootstrap_pf" else partial(
+            ks_monte_carlo, substeps=cfg.substeps)
+        results = [oracle(model, schedule, ys, phis, cfg.particles, seed=seed + 1000)
+                   for seed, ys in zip(cfg.seeds, obs)]
+        refs = [res.estimates[:, 0] for res in results]
+    gaps = [np.abs(out.estimates[1:, 0] - ref[1:]) for out, ref in zip(outs, refs)]
+    table = {"seed": [str(s) for s in cfg.seeds], "mean_abs_gap": [g.mean() for g in gaps]}
+    if cfg.baseline != "kalman":
+        table["frac_within_3se"] = [
+            np.mean(g <= 3 * np.maximum(res.stderr[1:, 0], 1e-12))
+            for g, res in zip(gaps, results)
         ]
     for seed, res in zip(cfg.seeds, results):
         _write(cfg, out_dir, f"{cfg.baseline}_s{seed}.csv", res.to_csv())
+    _write(cfg, out_dir, "agreement.csv", csv_table(list(table), list(table.values())))
     return 0
 
 
@@ -111,7 +123,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             model,
             schedule,
             cfg.sweep_values,
-            cfg.sweep_dx,
+            grid.spacing,
             cfg.seeds,
             phi=phi,
             substeps=cfg.substeps,
@@ -143,15 +155,6 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report.passed else 1
 
 
-def error_boundary(fn, *args):
-    """Call fn(*args); a raised error prints as `error: ...` and returns exit status 1."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # surface module errors as clean nonzero exits
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="yyfilter",
@@ -160,7 +163,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["simulate", "filter", "baseline", "sweep", "validate"])
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed-base", type=int, default=None, help="override seed base")
     args = parser.parse_args(argv)
 
     logging.basicConfig(
@@ -171,13 +173,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed_base is not None:
-        cfg.seed_base = args.seed_base
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
     command = {"simulate": cmd_simulate, "filter": cmd_filter, "baseline": cmd_baseline,
                "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
-    return error_boundary(command, cfg, out_dir)
+    try:
+        return command(cfg, out_dir)
+    except Exception as exc:  # surface module errors as one `error:` line, exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ Example::
 Only [model], [grid], and [schedule] are required; every applied default
 is echoed to the log.  Validation happens before any compute and errors
 name the offending field; a section or key the loader does not read is
-an error too.
+an error too.  An R sweep builds one grid per radius at the [grid]
+spacing 2 * radius / (points - 1), so each radius must be a multiple of it.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class ExperimentConfig:
     particles: int
     sweep_axis: str
     sweep_values: tuple
-    sweep_dx: float
     oracle: str
     slope_band: tuple
     seed_base: int
@@ -219,9 +219,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("field [sweep] values must all be positive")
     if sweep_axis == "R" and not all(v > 1 for v in sweep_values):
         raise ConfigError("field [sweep] values: each radius must exceed 1 (mollifier support)")
-    sweep_dx = need_float("sweep", "dx", "0.05")
-    if sweep_dx <= 0:
-        raise ConfigError("field [sweep] dx must be positive")
+    if sweep_axis == "R":
+        # each radius gets its own grid at the [grid] spacing, so it must end on a node
+        spacing = 2 * radius / (points - 1)
+        for v in sweep_values:
+            if abs(v / spacing - round(v / spacing)) > 1e-9:
+                raise ConfigError(
+                    f"field [sweep] values: radius {v!r} is not an integer multiple of the "
+                    f"[grid] spacing {spacing!r}"
+                )
     oracle = _get(parser, "sweep", "oracle", "kalman")
     if oracle not in ("kalman", "fine_oracle", "bootstrap_pf"):
         raise ConfigError(f"field [sweep] oracle: unknown oracle {oracle!r}")
@@ -251,7 +257,6 @@ def load_config(path) -> ExperimentConfig:
         "baseline.particles": particles,
         "sweep.axis": sweep_axis,
         "sweep.values": ",".join(repr(v) for v in sweep_values),
-        "sweep.dx": sweep_dx,
         "sweep.oracle": oracle,
         "sweep.slope_band": ",".join(repr(v) for v in band),
         "run.seed_base": seed_base,
@@ -279,7 +284,6 @@ def load_config(path) -> ExperimentConfig:
         particles=particles,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        sweep_dx=sweep_dx,
         oracle=oracle,
         slope_band=band,
         seed_base=seed_base,

@@ -397,20 +397,6 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray):
     return float(beta[1]), 1.96 * math.sqrt(cov[1, 1])
 
 
-def _kalman_readout(result, label: str) -> np.ndarray:
-    """Kalman per-knot values of the moment readouts x_i, x_i^2, x_i*x_j."""
-    if "*" in label:
-        a, b = label.split("*")
-        i, j = int(a[1:]) - 1, int(b[1:]) - 1
-        return result.means[:, i] * result.means[:, j] + result.covs[:, i, j]
-    if label.endswith("^2"):
-        i = int(label[1:-2]) - 1
-        return result.means[:, i] ** 2 + result.covs[:, i, i]
-    if label.startswith("x"):
-        return result.means[:, int(label[1:]) - 1]
-    raise ValueError(f"kalman oracle cannot evaluate test function {label!r}")
-
-
 # The oracle and the simulated paths run at the finest swept dt divided by this.
 _ORACLE_REFINE = 4
 
@@ -456,7 +442,7 @@ def convergence_sweep(
     sim_sched = TimeSchedule(terminal, k_sim)
     obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=sim_substeps, seed=seeds)]
     if oracle == "kalman":
-        refs = [_kalman_readout(r, phi.label) for r in kalman_filter(model, sim_sched, obs_fine)]
+        refs = [r.readout(phi.label) for r in kalman_filter(model, sim_sched, obs_fine)]
     elif oracle == "bootstrap_pf":
         refs = [
             bootstrap_pf(model, sim_sched, obs, (phi,), oracle_particles,

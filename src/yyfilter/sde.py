@@ -26,15 +26,22 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StatePath:
+class _KnotPath:
     schedule: TimeSchedule
-    values: np.ndarray  # (K+1, d)
+    values: np.ndarray  # (K+1, d), one row per knot
+
+    def __post_init__(self):
+        if len(self.values) != self.schedule.steps + 1:
+            raise ValueError(f"path has {len(self.values)} rows; its schedule needs "
+                             f"steps + 1 = {self.schedule.steps + 1}")
 
 
-@dataclass(frozen=True)
-class ObservationPath:
-    schedule: TimeSchedule
-    values: np.ndarray  # (K+1, d), values[0] == 0
+class StatePath(_KnotPath):
+    """Hidden state X at the knots."""
+
+
+class ObservationPath(_KnotPath):
+    """Observation Y at the knots; values[0] == 0."""
 
 
 def _rng_for(seed: int) -> np.random.Generator:

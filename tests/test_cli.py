@@ -7,6 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from yyfilter import (
+    TimeSchedule,
+    bootstrap_pf,
+    build_grid,
+    builtin_model,
+    coordinate,
+    kalman_filter,
+    run_filter,
+    simulate,
+)
 from yyfilter.cli import main
 from yyfilter.config import ConfigError, load_config, parse_test_function
 
@@ -117,11 +127,60 @@ def test_cmd_simulate_writes_paths(tmp_path):
     assert lines[1] == "t,X_1,Y_1"
 
 
+def _table(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# yyfilter 0.1.0 config_hash=")
+    return lines[1], [ln.split(",") for ln in lines[2:]]
+
+
 def test_cmd_baseline_kalman(tmp_path):
     cfg_path = _write(tmp_path, BASE_CONFIG + "\n[baseline]\nmethod = kalman\n")
     out = tmp_path / "base"
     assert main(["baseline", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "kalman_s0.csv").exists()
+    header, rows = _table(out / "agreement.csv")
+    assert header == "seed,mean_abs_gap"
+    model = builtin_model("linear1d")
+    sched = TimeSchedule(0.2, 10)
+    obs = [ys for _, ys in simulate(model, sched, substeps=4, seed=[0, 1])]
+    outs = run_filter(model, build_grid(1, 6.0, 61), sched, obs, [coordinate(0)], substeps=4)
+    gaps = [np.mean(np.abs(o.estimates[1:, 0] - k.means[1:, 0]))
+            for o, k in zip(outs, kalman_filter(model, sched, obs))]
+    assert rows == [["0", repr(float(gaps[0]))], ["1", repr(float(gaps[1]))]]
+
+
+def test_cmd_baseline_particle_agreement_and_offset_seed(tmp_path):
+    cfg_path = _write(
+        tmp_path, BASE_CONFIG + "\n[baseline]\nmethod = bootstrap_pf\nparticles = 500\n"
+    )
+    out = tmp_path / "base"
+    assert main(["baseline", "--config", cfg_path, "--out", str(out)]) == 0
+    header, rows = _table(out / "agreement.csv")
+    assert header == "seed,mean_abs_gap,frac_within_3se"
+    assert [r[0] for r in rows] == ["0", "1"]
+    assert all(float(r[1]) > 0 and 0 <= float(r[2]) <= 1 for r in rows)
+    # the particle stream is offset from the path's own, which drew the hidden X_0
+    model = builtin_model("linear1d")
+    sched = TimeSchedule(0.2, 10)
+    _, ys = simulate(model, sched, substeps=4, seed=0)
+    pf = bootstrap_pf(model, sched, ys, [coordinate(0)], 500, seed=1000)
+    assert (out / "bootstrap_pf_s0.csv").read_text().split("\n", 1)[1] == pf.to_csv()
+
+
+def test_mass_collapse_names_its_step_size(tmp_path, capsys):
+    # dt = 0.05 is too coarse for the cubic sensor: the clamp guard trips, and
+    # its message must name the step size, not only the knot.
+    text = BASE_CONFIG.replace("linear1d", "cubic_sensor").replace("points = 61", "points = 241")
+    text = text.replace("terminal = 0.2\nsteps = 10", "terminal = 1.0\nsteps = 20")
+    text += "\n[filter]\nsubsteps = 8\n\n[baseline]\nmethod = bootstrap_pf\nparticles = 500\n"
+    out = tmp_path / "base"
+    assert main(["baseline", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "dt=0.05" in err
+    # main prints one line, not a traceback, and a failed run writes nothing
+    assert "Traceback" not in err
+    assert "error: " in err
+    assert not out.exists()
 
 
 def test_cmd_sweep_summary_json(tmp_path):
@@ -164,19 +223,19 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("sweep", "values = 0.02, fast", "[sweep] values"),
         ("sweep", "values = 0.02, 0", "[sweep] values"),
         ("sweep", "values = -0.01", "[sweep] values"),
-        ("sweep", "dx = wide", "[sweep] dx"),
         ("run", "seed_base = 0.5", "[run] seed_base"),
         ("run", "seeds = inf", "[run] seeds"),
         ("sweep", "values = 0.02, inf", "[sweep] values"),
-        ("sweep", "dx = inf", "[sweep] dx"),
         ("grid", "radius = inf", "[grid] radius"),
         ("schedule", "terminal = inf", "[schedule] terminal"),
         ("filter", "substep = 8", "[filter] substep"),
         ("run", "workers = 2", "[run] workers"),
         ("outputs", "directory = x", "[outputs]"),
+        # removed: the R axis reads the [grid] spacing
         ("sweep", "dx = 0", "[sweep] dx"),
-        ("sweep", "dx = -0.05", "[sweep] dx"),
         ("sweep", "axis = R\nvalues = 0.5, 2", "[sweep] values"),
+        # 61 points on radius 6 give the R axis a spacing of 0.2
+        ("sweep", "axis = R\nvalues = 3, 4.5", "[sweep] values"),
         ("filter", "test_functions = x3", "[filter] test_functions"),
         ("filter", "test_functions = x1, x1*x2", "[filter] test_functions"),
         ("filter", "test_functions = x0", "[filter] test_functions"),
@@ -257,3 +316,12 @@ def test_shipped_sweep_config_writes_its_table(tmp_path, name, rows):
     assert lines[0].startswith("# yyfilter ")
     assert lines[1] == "axis,value,mean_err,stderr,n"
     assert len(lines) == 2 + rows
+
+
+def test_shipped_kalman_agreement_config_writes_its_table(tmp_path):
+    out = tmp_path / "agreement"
+    assert main(["baseline", "--config", str(CONFIGS / "kalman_agreement.ini"),
+                 "--out", str(out)]) == 0
+    header, rows = _table(out / "agreement.csv")
+    assert header == "seed,mean_abs_gap"
+    assert len(rows) == 50

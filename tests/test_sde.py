@@ -15,6 +15,7 @@ from yyfilter.models import (
 )
 from yyfilter.sde import (
     ObservationPath,
+    StatePath,
     observation_increments,
     paths_from_csv,
     paths_to_csv,
@@ -156,10 +157,19 @@ def test_constant_path_zero_increments():
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=30))
 def test_prefix_sum_inverts_increments(values):
     vals = np.array([[0.0]] + [[v] for v in values])
-    sched = TimeSchedule(1.0, len(values) + 1)
+    sched = TimeSchedule(1.0, len(values))
     path = ObservationPath(sched, vals)
     rebuilt = np.vstack([[0.0], np.cumsum(observation_increments(path, sched), axis=0)])
     assert np.max(np.abs(rebuilt - vals)) < 1e-14
+
+
+@pytest.mark.parametrize("cls", [StatePath, ObservationPath])
+@pytest.mark.parametrize("rows", [51, 201])
+def test_path_rows_must_match_its_schedule(cls, rows):
+    # 51 rows on 100 steps once died with an IndexError at knot 51 inside the
+    # filters; 201 rows ran silently on the first 100 increments
+    with pytest.raises(ValueError, match=rf"{rows} rows.*steps \+ 1 = 101"):
+        cls(TimeSchedule(1.0, 100), np.zeros((rows, 1)))
 
 
 def test_nonfinite_state_raises():
