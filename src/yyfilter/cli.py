@@ -22,7 +22,7 @@ from .baselines import bootstrap_pf, kalman_filter, ks_monte_carlo
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import convergence_sweep, radius_sweep
 from .filtering import run_filter
-from .models import TimeSchedule, validate_assumptions
+from .models import validate_assumptions
 from .pde import build_grid
 from .sde import paths_to_csv, simulate
 from .tables import csv_table
@@ -42,13 +42,12 @@ def _write(cfg: ExperimentConfig, out_dir: Path, name: str, body: str) -> Path:
     return target
 
 
-def _setup(cfg: ExperimentConfig):
-    grid = build_grid(cfg.model.dim, cfg.grid_radius, cfg.grid_points)
-    return cfg.model, grid, TimeSchedule(cfg.terminal, cfg.steps)
+def _grid(cfg: ExperimentConfig):
+    return build_grid(cfg.model.dim, cfg.grid_radius, cfg.grid_points)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, _, schedule = _setup(cfg)
+    model, schedule = cfg.model, cfg.schedule
     pairs = simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)
     for seed, (xs, ys) in zip(cfg.seeds, pairs):
         _write(cfg, out_dir, f"paths_s{seed}.csv", paths_to_csv(xs, ys))
@@ -56,9 +55,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, grid, schedule = _setup(cfg)
+    model, schedule = cfg.model, cfg.schedule
     obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
-    outs = run_filter(model, grid, schedule, obs, cfg.test_functions(), substeps=cfg.substeps)
+    outs = run_filter(model, _grid(cfg), schedule, obs, cfg.test_functions(),
+                      substeps=cfg.substeps)
     for seed, out in zip(cfg.seeds, outs):
         _write(cfg, out_dir, f"filter_s{seed}.csv", out.to_csv())
     return 0
@@ -67,10 +67,10 @@ def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Oracle files per seed, and agreement.csv: per seed, mean |grid - oracle| of the
     first test function (and, for a particle oracle, the share of knots within 3 se)."""
-    model, grid, schedule = _setup(cfg)
+    model, schedule = cfg.model, cfg.schedule
     phis = cfg.test_functions()
     obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
-    outs = run_filter(model, grid, schedule, obs, phis[:1], substeps=cfg.substeps)
+    outs = run_filter(model, _grid(cfg), schedule, obs, phis[:1], substeps=cfg.substeps)
     if cfg.baseline == "kalman":
         results = kalman_filter(model, schedule, obs)
         refs = [res.readout(phis[0].label) for res in results]
@@ -95,7 +95,7 @@ def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, grid, schedule = _setup(cfg)
+    model, grid = cfg.model, _grid(cfg)
     phi = cfg.test_functions()[0]
     if cfg.sweep_axis == "dt":
         result = convergence_sweep(
@@ -121,7 +121,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         result = radius_sweep(
             model,
-            schedule,
+            cfg.schedule,
             cfg.sweep_values,
             grid.spacing,
             cfg.seeds,
@@ -145,9 +145,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, _, _ = _setup(cfg)
     report = validate_assumptions(
-        model, cfg.grid_radius, seed=cfg.seed_base, test_functions=cfg.test_functions()
+        cfg.model, cfg.grid_radius, seed=cfg.seed_base, test_functions=cfg.test_functions()
     )
     body = str(report) + "\n"
     _write(cfg, out_dir, "validation.txt", body)
@@ -179,6 +178,9 @@ def main(argv=None) -> int:
                "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
     try:
         return command(cfg, out_dir)
+    except ConfigError as exc:  # a field the command needs and the config leaves out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # surface module errors as one `error:` line, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,9 @@ Example::
     [output]
     directory = out
 
-Only [model], [grid], and [schedule] are required; every applied default
+Only [model], [grid], and [schedule] are required, and a dt sweep, which
+takes its step counts from [sweep] values, may leave [schedule] steps out
+(a command that needs it then exits naming it); every applied default
 is echoed to the log.  Validation happens before any compute and errors
 name the offending field; a section or key the loader does not read is
 an error too.  An R sweep builds one grid per radius at the [grid]
@@ -43,10 +45,12 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .models import (
     FilterModel,
     TestFunction,
+    TimeSchedule,
     _REGISTRY_NAMES,
     builtin_model,
     coordinate,
@@ -85,7 +89,7 @@ class ExperimentConfig:
     grid_radius: float
     grid_points: int
     terminal: float
-    steps: int
+    steps: Optional[int]  # None: only a dt sweep may run
     substeps: int
     test_function_labels: tuple
     baseline: str
@@ -106,6 +110,15 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_dump.encode()).hexdigest()[:16]
+
+    @property
+    def schedule(self) -> TimeSchedule:
+        if self.steps is None:
+            raise ConfigError(
+                "field [schedule] steps is required; only a dt sweep, which takes its step "
+                "counts from [sweep] values, runs without it"
+            )
+        return TimeSchedule(self.terminal, self.steps)
 
     def test_functions(self):
         return [parse_test_function(lb) for lb in self.test_function_labels]
@@ -173,9 +186,10 @@ def load_config(path) -> ExperimentConfig:
     radius = need_float("grid", "radius")
     points = need_int("grid", "points")
     terminal = need_float("schedule", "terminal")
-    steps = need_int("schedule", "steps")
+    # a dt sweep takes its step counts from [sweep] values, so it may leave steps out
+    steps = need_int("schedule", "steps") if _get(parser, "schedule", "steps", echo=False) else None
 
-    if steps < 1:
+    if steps is not None and steps < 1:
         raise ConfigError("field [schedule] steps: K must be >= 1")
     if terminal <= 0:
         raise ConfigError("field [schedule] terminal must be positive")
@@ -214,6 +228,8 @@ def load_config(path) -> ExperimentConfig:
     sweep_axis = _get(parser, "sweep", "axis", "dt")
     if sweep_axis not in ("dt", "R"):
         raise ConfigError(f"field [sweep] axis must be dt or R, got {sweep_axis!r}")
+    if steps is None and sweep_axis == "R":
+        raise ConfigError("field [schedule] steps is required by an R sweep")
     sweep_values = need_floats("sweep", "values", "0.02, 0.01, 0.005")
     if not all(v > 0 for v in sweep_values):
         raise ConfigError("field [sweep] values must all be positive")
@@ -250,7 +266,7 @@ def load_config(path) -> ExperimentConfig:
         "grid.radius": radius,
         "grid.points": points,
         "schedule.terminal": terminal,
-        "schedule.steps": steps,
+        "schedule.steps": "" if steps is None else steps,
         "filter.substeps": substeps,
         "filter.test_functions": ",".join(labels),
         "baseline.method": baseline,

@@ -239,9 +239,15 @@ def _tanh_drift(points):
     return np.tanh(points)
 
 
+_EYES: dict = {}  # read-only identity per dimension, never handed out
+
+
 def _unit_diffusion(points):
     n, d = points.shape
-    return np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    if d not in _EYES:
+        _EYES[d] = np.eye(d)[None]
+        _EYES[d].flags.writeable = False
+    return np.repeat(_EYES[d], n, axis=0)  # a fresh writeable copy
 
 
 def _identity_obs(points):

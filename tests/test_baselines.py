@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from yyfilter.models import (
     _unit_diffusion,
 )
 from yyfilter.pde import build_grid
-from yyfilter.sde import ObservationPath, simulate
+from yyfilter.sde import ObservationPath, _rng_for, observation_increments, simulate
 
 
 def _zero_vec(points):
@@ -305,3 +308,209 @@ def test_path_on_another_schedule_is_refused(consumer, recorded, expected):
     _, obs = simulate(m, recorded, seed=2)
     with pytest.raises(ValueError, match=expected):
         _CONSUMERS[consumer](m, TimeSchedule(1.0, 100), obs)
+
+
+# Reference: the particle loops as they stood before the normals were drawn on a
+# worker thread and the weight arithmetic moved into preallocated buffers, copied
+# verbatim (helpers included).  The oracles must consume the Philox stream in the
+# same order, normals(k), [uniform(k)], normals(k + 1), and sum in the same order.
+
+
+def _ref_normalized_weights(logw):
+    lw = logw - logw.max()
+    w = np.exp(lw)
+    return w / w.sum()
+
+
+def _ref_ess(w):
+    return 1.0 / float(np.sum(w**2))
+
+
+def _ref_weighted_readout(w, phi_vals):
+    est = float(np.dot(w, phi_vals))
+    se = float(np.sqrt(np.sum((w * (phi_vals - est)) ** 2)))
+    return est, se
+
+
+def _ref_systematic_resample(weights, rng):
+    n = weights.size
+    positions = (np.arange(n) + rng.random()) / n
+    return np.searchsorted(np.cumsum(weights), positions)
+
+
+def _ref_bootstrap_pf(model, schedule, obs, test_functions, n_particles, seed=0):
+    d = model.dim
+    K = schedule.steps
+    dt = schedule.dt
+    rng = _rng_for(seed)
+    x = model.sample_initial(rng, n_particles)
+    logw = np.zeros(n_particles)
+    dys = observation_increments(obs, schedule)
+
+    n_phi = len(test_functions)
+    est = np.empty((K + 1, n_phi))
+    serr = np.empty((K + 1, n_phi))
+    ess_arr = np.empty(K + 1)
+
+    sq = np.sqrt(dt)
+    for k in range(K + 1):
+        if k > 0:
+            g = model.diffusion(x)
+            x = x + model.drift(x) * dt + np.einsum(
+                "nij,nj->ni", g, rng.standard_normal((n_particles, d))
+            ) * sq
+            h = model.observation(x)
+            logw = logw + h @ dys[k - 1] - 0.5 * np.sum(h**2, axis=1) * dt
+        w = _ref_normalized_weights(logw)
+        for j, phi in enumerate(test_functions):
+            est[k, j], serr[k, j] = _ref_weighted_readout(w, phi(x))
+        ess_arr[k] = _ref_ess(w)
+        if k > 0 and ess_arr[k] < n_particles / 2:
+            idx = _ref_systematic_resample(w, rng)
+            x = x[idx]
+            logw = np.zeros(n_particles)
+    return est, serr, ess_arr
+
+
+def _ref_ks_monte_carlo(model, schedule, obs, test_functions, n_particles, substeps=4, seed=0):
+    d = model.dim
+    K = schedule.steps
+    dt = schedule.dt / substeps
+    rng = _rng_for(seed)
+    x = model.sample_initial(rng, n_particles)
+    logw = np.zeros(n_particles)
+    dys = observation_increments(obs, schedule)
+
+    n_phi = len(test_functions)
+    est = np.empty((K + 1, n_phi))
+    serr = np.empty((K + 1, n_phi))
+    ess_arr = np.empty(K + 1)
+
+    def record(k):
+        w = _ref_normalized_weights(logw)
+        for j, phi in enumerate(test_functions):
+            est[k, j], serr[k, j] = _ref_weighted_readout(w, phi(x))
+        ess_arr[k] = _ref_ess(w)
+
+    record(0)
+    sq = np.sqrt(dt)
+    for k in range(1, K + 1):
+        dy_sub = dys[k - 1] / substeps
+        for _ in range(substeps):
+            h = model.observation(x)
+            logw += h @ dy_sub - 0.5 * np.sum(h**2, axis=1) * dt
+            g = model.diffusion(x)
+            x = x + model.drift(x) * dt + np.einsum(
+                "nij,nj->ni", g, rng.standard_normal((n_particles, d))
+            ) * sq
+        record(k)
+    return est, serr, ess_arr
+
+
+def _loud_path(model, sched, scale, seed):
+    """A simulated path with its increments scaled, so the weights collapse often."""
+    _, obs = simulate(model, sched, seed=seed)
+    return ObservationPath(sched, obs.values * scale)
+
+
+def _resampled(ess, n):
+    return np.flatnonzero(ess < n / 2)
+
+
+@pytest.mark.parametrize(
+    "name, dim, steps, scale, n, seed",
+    [
+        ("linear1d", None, 12, 40.0, 400, 3),  # loud paths: consecutive resamples, and at K
+        ("cubic_sensor", None, 30, 2.0, 3000, 5),
+        ("linearNd", 2, 12, 25.0, 300, 4),
+        ("linearNd", 2, 20, 2.0, 2000, 8),
+        ("benes", None, 10, 1.0, 2, 1),  # two particles: ESS >= 1 = N/2, never resampled
+        ("linearNd", 2, 10, 1.0, 2, 6),
+    ],
+)
+def test_particle_oracles_match_the_sequential_stream(name, dim, steps, scale, n, seed):
+    m = builtin_model(name, dim)
+    sched = TimeSchedule(0.5, steps)
+    obs = _loud_path(m, sched, scale, seed)
+    phis = [coordinate(i) for i in range(m.dim)]
+    res = bootstrap_pf(m, sched, obs, phis, n, seed=seed + 1000)
+    for got, want in zip((res.estimates, res.stderr, res.ess),
+                         _ref_bootstrap_pf(m, sched, obs, phis, n, seed=seed + 1000)):
+        assert_array_equal(got, want)
+    res = ks_monte_carlo(m, sched, obs, phis, n, substeps=3, seed=seed + 1000)
+    for got, want in zip((res.estimates, res.stderr, res.ess),
+                         _ref_ks_monte_carlo(m, sched, obs, phis, n, substeps=3, seed=seed + 1000)):
+        assert_array_equal(got, want)
+
+
+def test_stream_cases_cover_every_resampling_pattern():
+    # The cases above must keep exercising the rollback: consecutive resamples,
+    # a resample at the last knot, and runs that resample only now and then.
+    def pattern(name, dim, steps, scale, n, seed):
+        m = builtin_model(name, dim)
+        sched = TimeSchedule(0.5, steps)
+        obs = _loud_path(m, sched, scale, seed)
+        ess = bootstrap_pf(m, sched, obs, [coordinate(0)], n, seed=seed + 1000).ess
+        return _resampled(ess[1:], n) + 1
+
+    for loud in (pattern("linear1d", None, 12, 40.0, 400, 3),
+                 pattern("linearNd", 2, 12, 25.0, 300, 4)):
+        assert np.any(np.diff(loud) == 1)  # consecutive knots
+        assert loud[-1] == 12  # knot K
+    assert_array_equal(pattern("cubic_sensor", None, 30, 2.0, 3000, 5), [3, 7, 17])
+    assert_array_equal(pattern("linearNd", 2, 20, 2.0, 2000, 8), [1, 12, 17])
+
+
+def test_particle_oracles_leave_no_thread_behind():
+    m = builtin_model("cubic_sensor")
+    sched = TimeSchedule(0.5, 10)
+    _, obs = simulate(m, sched, seed=3)
+    before = threading.active_count()
+    callers = set()
+
+    def observation(points):
+        callers.add(threading.get_ident())
+        return m.observation(points)
+
+    bootstrap_pf(dataclasses.replace(m, observation=observation), sched, obs,
+                 [coordinate(0)], 1000, seed=1)
+    assert threading.active_count() == before
+    assert callers == {threading.get_ident()}  # callbacks run on the calling thread
+
+    boom = RuntimeError("observation failed at knot 3")
+    calls = []
+
+    def failing(points):
+        calls.append(1)
+        if len(calls) == 3:
+            raise boom
+        return m.observation(points)
+
+    with pytest.raises(RuntimeError) as info:
+        bootstrap_pf(dataclasses.replace(m, observation=failing), sched, obs,
+                     [coordinate(0)], 1000, seed=1)
+    assert info.value is boom
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_concurrent_particle_filters_keep_their_own_streams():
+    # Each call owns its generator, buffers and worker; four calls at once on a
+    # short switch interval must each still match the sequential reference.
+    m = builtin_model("linearNd", 2)
+    sched = TimeSchedule(0.5, 12)
+    obs = _loud_path(m, sched, 25.0, 4)
+    phis = [coordinate(0), coordinate(1)]
+    want = [_ref_bootstrap_pf(m, sched, obs, phis, 300, seed=s) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda s: bootstrap_pf(m, sched, obs, phis, 300, seed=s),
+                                range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for res, (est, serr, ess) in zip(got, want):
+        assert_array_equal(res.estimates, est)
+        assert_array_equal(res.stderr, serr)
+        assert_array_equal(res.ess, ess)

@@ -255,6 +255,32 @@ def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line
     assert field in capsys.readouterr().err
 
 
+def test_dt_sweep_needs_no_steps_and_other_commands_refuse_its_absence(tmp_path, capsys):
+    # A dt sweep takes its step counts from [sweep] values: with or without
+    # [schedule] steps it writes the same table, under its own config hash.
+    sweep = "\n[sweep]\naxis = dt\nvalues = 0.04, 0.02\noracle = kalman\n"
+    no_steps = BASE_CONFIG.replace("steps = 10\n", "")
+    assert load_config(_write(tmp_path, no_steps + sweep, "a.ini")).steps is None
+    bodies, hashes = [], []
+    for name, text in (("with.ini", BASE_CONFIG + sweep), ("without.ini", no_steps + sweep)):
+        out = tmp_path / f"out_{name}"
+        main(["sweep", "--config", _write(tmp_path, text, name), "--out", str(out)])
+        header, *body = (out / "sweep.csv").read_text().splitlines()
+        bodies.append(body)
+        hashes.append(header)
+    assert bodies[0] == bodies[1] and hashes[0] != hashes[1]
+
+    capsys.readouterr()
+    cfg_path = _write(tmp_path, no_steps + sweep, "a.ini")
+    for command in ("simulate", "filter", "baseline"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert "[schedule] steps" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match=re.escape("[schedule] steps")):
+        load_config(_write(tmp_path, no_steps + "\n[sweep]\naxis = R\nvalues = 3, 4\n", "r.ini"))
+
+
 def test_config_slope_band_keeps_infinite_upper_edge(tmp_path):
     cfg = load_config(_write(tmp_path, BASE_CONFIG + "\n[sweep]\nslope_band = 0.35, inf\n"))
     assert cfg.slope_band == (0.35, float("inf"))

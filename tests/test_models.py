@@ -181,3 +181,13 @@ def test_rejection_sampler_fallback():
     draws = m.sample_initial(rng, 50_000)
     assert draws.shape == (50_000, 1)
     assert abs(draws.var() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (1, 1), (5, 3), (1000, 1)])
+def test_unit_diffusion_is_a_fresh_identity_stack(n, d):
+    g = _unit_diffusion(np.zeros((n, d)))
+    assert g.shape == (n, d, d) and g.dtype == np.float64
+    assert g.flags.writeable and g.flags.c_contiguous and g.base is None
+    np.testing.assert_array_equal(g, np.broadcast_to(np.eye(d), (n, d, d)))
+    g[...] = 7.0  # the caller owns it: the next call still returns the identity
+    np.testing.assert_array_equal(_unit_diffusion(np.zeros((2, d))), [np.eye(d)] * 2)
