@@ -33,7 +33,7 @@ from .pde import (
 )
 from .filtering import FilterOutput, estimate, run_filter
 from .sde import ObservationPath, StatePath, observation_increments, simulate
-from .baselines import bootstrap_pf, fine_oracle, kalman_filter, ks_monte_carlo
+from .baselines import bootstrap_pf, kalman_filter, ks_monte_carlo
 from .diagnostics import (
     SweepResult,
     convergence_sweep,

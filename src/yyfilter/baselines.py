@@ -3,7 +3,10 @@
 kalman_filter     exact continuous-discrete recursion for linear models
 ks_monte_carlo    reference-measure importance sampler (Bayes-ratio weights)
 bootstrap_pf      bootstrap particle filter with systematic resampling
-fine_oracle       the grid filter itself at refined dt and mesh
+ORACLES           the one table of oracles: a name maps to one call over a batch
+                  of paths.  `yyfilter baseline` takes the names in BASELINES,
+                  the dt sweep those in SWEEP_ORACLES; `fine_oracle` is the grid
+                  filter on the mesh refined twice per axis.
 
 All are deterministic given their seeds.  Particle estimators report
 delta-method standard errors alongside the estimates.  The two particle
@@ -24,9 +27,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .filtering import FilterOutput, run_filter
+from .filtering import run_filter
 from .models import FilterModel, TestFunction, TimeSchedule
-from .pde import Grid, build_grid
+from .pde import build_grid
 from .sde import ObservationPath, observation_increments, _rng_for
 from .tables import csv_table
 
@@ -58,7 +61,7 @@ class KalmanResult:
             [self.schedule.knots, *self.means.T, *np.diagonal(self.covs, axis1=1, axis2=2).T],
         )
 
-    def readout(self, label: str) -> np.ndarray:
+    def column(self, label: str) -> np.ndarray:
         """Per-knot values of the moment readouts x_i, x_i^2, x_i*x_j."""
         if "*" in label:
             a, b = label.split("*")
@@ -342,34 +345,39 @@ def bootstrap_pf(
     return record.result()
 
 
-def fine_oracle(
-    model: FilterModel,
-    grid: Grid,
-    fine_schedule: TimeSchedule,
-    fine_obs: Union[ObservationPath, Sequence[ObservationPath]],
-    test_functions: Sequence[TestFunction],
-    coarse_steps: int,
-    space_refine: int = 2,
-    substeps: int = 4,
-) -> Union[np.ndarray, list[np.ndarray]]:
-    """Self-oracle: the grid filter at refined dt and mesh, read at coarse knots.
+# Every oracle: fn(model, grid, schedule, paths, test_functions, seeds, substeps,
+# particles) -> one result per path, each reading a label through column(label).
+# The particle entries draw from the path's seed plus 1000, offset from the
+# path's own stream, which drew the hidden X_0.
 
-    `fine_schedule`/`fine_obs` carry the refined run; the estimate array
-    returned has shape (coarse_steps + 1, n_phi), one per path when
-    `fine_obs` is a sequence.  With a time refinement of 1 and
-    space_refine of 1 this is exactly run_filter on the coarse problem.
-    """
-    if space_refine < 1:
-        raise ValueError("space_refine must be >= 1")
-    if fine_schedule.steps % coarse_steps:
-        raise ValueError("fine schedule steps must be a multiple of coarse_steps")
-    stride = fine_schedule.steps // coarse_steps
-    fine_grid = (
-        grid
-        if space_refine == 1
-        else build_grid(grid.dim, grid.radius, space_refine * (grid.points_per_axis - 1) + 1)
-    )
-    out = run_filter(model, fine_grid, fine_schedule, fine_obs, test_functions, substeps)
-    if isinstance(out, FilterOutput):
-        return out.estimates[::stride]
-    return [o.estimates[::stride] for o in out]
+
+def _kalman(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+    return kalman_filter(model, schedule, paths)
+
+
+def _refined_grid_filter(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+    """The grid filter on the mesh refined twice per axis."""
+    fine = build_grid(grid.dim, grid.radius, 2 * (grid.points_per_axis - 1) + 1)
+    return run_filter(model, fine, schedule, paths, test_functions, substeps)
+
+
+def _bootstrap_pf(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+    return [bootstrap_pf(model, schedule, ys, test_functions, particles, seed=seed + 1000)
+            for seed, ys in zip(seeds, paths)]
+
+
+def _ks_monte_carlo(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+    return [ks_monte_carlo(model, schedule, ys, test_functions, particles, substeps=substeps,
+                           seed=seed + 1000)
+            for seed, ys in zip(seeds, paths)]
+
+
+ORACLES = {
+    "kalman": _kalman,
+    "fine_oracle": _refined_grid_filter,
+    "bootstrap_pf": _bootstrap_pf,
+    "ks_monte_carlo": _ks_monte_carlo,
+}
+BASELINES = ("kalman", "bootstrap_pf", "ks_monte_carlo")
+SWEEP_ORACLES = ("kalman", "fine_oracle")
+LINEAR_ORACLES = ("kalman",)  # refused, before any compute, on a model not declared linear

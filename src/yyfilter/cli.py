@@ -12,13 +12,12 @@ import argparse
 import json
 import logging
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import bootstrap_pf, kalman_filter, ks_monte_carlo
+from .baselines import LINEAR_ORACLES, ORACLES, ParticleResult
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import convergence_sweep, radius_sweep
 from .filtering import run_filter
@@ -64,28 +63,32 @@ def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def _refuse_nonlinear(cfg: ExperimentConfig, field: str, oracle: str) -> None:
+    """Refuse, before any compute, an oracle that needs a linear model."""
+    if oracle in LINEAR_ORACLES and cfg.model.linear is None:
+        raise ConfigError(
+            f"field {field}: oracle {oracle!r} needs a linear model, and model "
+            f"{cfg.model.name!r} is not declared linear"
+        )
+
+
 def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Oracle files per seed, and agreement.csv: per seed, mean |grid - oracle| of the
     first test function (and, for a particle oracle, the share of knots within 3 se)."""
     model, schedule = cfg.model, cfg.schedule
-    phis = cfg.test_functions()
+    _refuse_nonlinear(cfg, "[baseline] method", cfg.baseline)
+    grid, phis = _grid(cfg), cfg.test_functions()
+    label = phis[0].label
     obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
-    outs = run_filter(model, _grid(cfg), schedule, obs, phis[:1], substeps=cfg.substeps)
-    if cfg.baseline == "kalman":
-        results = kalman_filter(model, schedule, obs)
-        refs = [res.readout(phis[0].label) for res in results]
-    else:
-        # offset the particle stream from the path's own, which drew the hidden X_0
-        oracle = bootstrap_pf if cfg.baseline == "bootstrap_pf" else partial(
-            ks_monte_carlo, substeps=cfg.substeps)
-        results = [oracle(model, schedule, ys, phis, cfg.particles, seed=seed + 1000)
-                   for seed, ys in zip(cfg.seeds, obs)]
-        refs = [res.estimates[:, 0] for res in results]
-    gaps = [np.abs(out.estimates[1:, 0] - ref[1:]) for out, ref in zip(outs, refs)]
+    outs = run_filter(model, grid, schedule, obs, phis[:1], substeps=cfg.substeps)
+    results = ORACLES[cfg.baseline](model, grid, schedule, obs, phis, cfg.seeds, cfg.substeps,
+                                    cfg.particles)
+    gaps = [np.abs(out.estimates[1:, 0] - res.column(label)[1:])
+            for out, res in zip(outs, results)]
     table = {"seed": [str(s) for s in cfg.seeds], "mean_abs_gap": [g.mean() for g in gaps]}
-    if cfg.baseline != "kalman":
+    if isinstance(results[0], ParticleResult):
         table["frac_within_3se"] = [
-            np.mean(g <= 3 * np.maximum(res.stderr[1:, 0], 1e-12))
+            np.mean(g <= 3 * np.maximum(res.stderr_column(label)[1:], 1e-12))
             for g, res in zip(gaps, results)
         ]
     for seed, res in zip(cfg.seeds, results):
@@ -95,20 +98,14 @@ def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+    if len(cfg.seeds) < 2:
+        raise ConfigError("field [run] seeds: a sweep needs at least 2, for its standard errors")
     model, grid = cfg.model, _grid(cfg)
     phi = cfg.test_functions()[0]
     if cfg.sweep_axis == "dt":
-        result = convergence_sweep(
-            model,
-            grid,
-            cfg.terminal,
-            cfg.sweep_values,
-            cfg.seeds,
-            oracle=cfg.oracle,
-            phi=phi,
-            substeps=cfg.substeps,
-            oracle_particles=cfg.particles,
-        )
+        _refuse_nonlinear(cfg, "[sweep] oracle", cfg.oracle)
+        result = convergence_sweep(model, grid, cfg.terminal, cfg.sweep_values, cfg.seeds,
+                                   oracle=cfg.oracle, phi=phi, substeps=cfg.substeps)
         lo, hi = cfg.slope_band
         flags = {
             "slope_in_band": bool(

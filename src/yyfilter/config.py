@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .baselines import BASELINES, SWEEP_ORACLES
 from .models import (
     FilterModel,
     TestFunction,
@@ -143,14 +144,16 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    name = _get(parser, "model", "name", echo=False)
-    if name is None:
-        raise ConfigError("field [model] name is required")
-    if name not in _REGISTRY_NAMES:
-        raise ConfigError(
-            f"field [model] name: unknown model {name!r}; "
-            f"valid names: {', '.join(_REGISTRY_NAMES)}"
-        )
+    def need_name(section, key, names, default=None):
+        value = _get(parser, section, key, default)
+        if value is None:
+            raise ConfigError(f"field [{section}] {key} is required")
+        if value not in names:
+            raise ConfigError(f"field [{section}] {key}: unknown name {value!r}; "
+                              f"valid names: {', '.join(names)}")
+        return value
+
+    name = need_name("model", "name", _REGISTRY_NAMES)
 
     def to_float(section, key, raw, finite=True):
         try:
@@ -218,16 +221,12 @@ def load_config(path) -> ExperimentConfig:
                     f"the model's dim {model.dim}"
                 )
 
-    baseline = _get(parser, "baseline", "method", "kalman")
-    if baseline not in ("kalman", "bootstrap_pf", "ks_monte_carlo"):
-        raise ConfigError(f"field [baseline] method: unknown baseline {baseline!r}")
+    baseline = need_name("baseline", "method", BASELINES, "kalman")
     particles = need_int("baseline", "particles", "10000")
     if particles < 2:
         raise ConfigError("field [baseline] particles must be >= 2")
 
-    sweep_axis = _get(parser, "sweep", "axis", "dt")
-    if sweep_axis not in ("dt", "R"):
-        raise ConfigError(f"field [sweep] axis must be dt or R, got {sweep_axis!r}")
+    sweep_axis = need_name("sweep", "axis", ("dt", "R"), "dt")
     if steps is None and sweep_axis == "R":
         raise ConfigError("field [schedule] steps is required by an R sweep")
     sweep_values = need_floats("sweep", "values", "0.02, 0.01, 0.005")
@@ -244,9 +243,7 @@ def load_config(path) -> ExperimentConfig:
                     f"field [sweep] values: radius {v!r} is not an integer multiple of the "
                     f"[grid] spacing {spacing!r}"
                 )
-    oracle = _get(parser, "sweep", "oracle", "kalman")
-    if oracle not in ("kalman", "fine_oracle", "bootstrap_pf"):
-        raise ConfigError(f"field [sweep] oracle: unknown oracle {oracle!r}")
+    oracle = need_name("sweep", "oracle", SWEEP_ORACLES, "kalman")
     # err <= C*sqrt(dt) bounds the dt slope from below only, so the default band is one-sided.
     band = need_floats("sweep", "slope_band", "0.35, inf", finite=False)
     if len(band) != 2 or not math.isfinite(band[0]) or band[0] >= band[1]:

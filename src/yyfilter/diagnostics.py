@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import bootstrap_pf, fine_oracle, kalman_filter
+from .baselines import LINEAR_ORACLES, ORACLES, SWEEP_ORACLES
 from .filtering import run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
 from .pde import (
@@ -411,49 +411,38 @@ def convergence_sweep(
     phi: Optional[TestFunction] = None,
     substeps: int = 4,
     sim_substeps: int = 2,
-    oracle_particles: int = 10_000,
 ) -> SweepResult:
     """Mean |estimate - oracle| against dt.
 
     Per seed, one observation path is simulated at the finest dt over
     _ORACLE_REFINE and subsampled to every coarser level; the oracle
-    (near-exact reference) is computed once at that simulation
-    resolution and read at coarse knots.  The paths of all seeds run as
-    one batch: one simulation, one Kalman or fine-oracle run, and one
-    filter run per dt (the particle oracle runs seed by seed).  Returns
-    per-dt means with standard errors over seeds and the fitted log-log
-    slope (NaN, flagged in the summary, when fewer than two levels are
-    given).
+    (near-exact reference, one of SWEEP_ORACLES) is computed once at that
+    simulation resolution and read at coarse knots.  The paths of all
+    seeds run as one batch: one simulation, one oracle run, and one
+    filter run per dt.  Returns per-dt means with standard errors over
+    seeds (at least two) and the fitted log-log slope (NaN, flagged in
+    the summary, when fewer than three levels are given).
     """
     deltas = sorted(float(d) for d in deltas)[::-1]  # descending
-    if oracle not in ("kalman", "bootstrap_pf", "fine_oracle"):
-        raise ValueError(f"unknown oracle {oracle!r}")
-    if oracle == "kalman" and model.linear is None:
-        raise ValueError("kalman oracle requires a linear model")
+    if oracle not in SWEEP_ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}; valid names: {', '.join(SWEEP_ORACLES)}")
+    if oracle in LINEAR_ORACLES and model.linear is None:
+        raise ValueError(f"{oracle} oracle requires a linear model")
     finest = min(deltas)
     for d in deltas:
         ratio = d / finest
         if abs(ratio - round(ratio)) > 1e-9 or abs(terminal / d - round(terminal / d)) > 1e-9:
             raise ValueError("every dt must divide the terminal time and be a "
                              "multiple of the finest dt")
+    if len(seeds) < 2:
+        raise ValueError("need at least 2 seeds for the standard errors")
     phi = phi if phi is not None else coordinate(0)
 
     k_sim = round(terminal / finest) * _ORACLE_REFINE
     sim_sched = TimeSchedule(terminal, k_sim)
     obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=sim_substeps, seed=seeds)]
-    if oracle == "kalman":
-        refs = [r.readout(phi.label) for r in kalman_filter(model, sim_sched, obs_fine)]
-    elif oracle == "bootstrap_pf":
-        refs = [
-            bootstrap_pf(model, sim_sched, obs, (phi,), oracle_particles,
-                         seed=seed + 10_000_019).estimates[:, 0]
-            for seed, obs in zip(seeds, obs_fine)
-        ]
-    else:
-        refs = [est[:, 0] for est in fine_oracle(
-            model, grid, sim_sched, obs_fine, (phi,), coarse_steps=k_sim,
-            space_refine=2, substeps=substeps,
-        )]
+    refs = [res.column(phi.label) for res in ORACLES[oracle](
+        model, grid, sim_sched, obs_fine, (phi,), seeds, substeps, None)]
 
     gen = assemble_generator(model, grid)
     mean_err = np.empty(len(deltas))
@@ -506,6 +495,8 @@ def radius_sweep(
     for R in radii:
         if abs(R / dx - round(R / dx)) > 1e-9:
             raise ValueError("each radius must be an integer multiple of dx")
+    if len(seeds) < 2:
+        raise ValueError("need at least 2 seeds for the standard errors")
     phi = phi if phi is not None else coordinate(0)
 
     obs = [ys for _, ys in simulate(model, schedule, substeps=sim_substeps, seed=seeds)]

@@ -9,11 +9,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from yyfilter.baselines import (
+    ORACLES,
     _discrete_transition,
     _ess,
     _normalized_weights,
     bootstrap_pf,
-    fine_oracle,
     kalman_filter,
     ks_monte_carlo,
 )
@@ -252,26 +252,17 @@ def test_weighted_ensemble_invariants():
     assert_allclose(_normalized_weights(np.array([0.0, -1.0, -2.0, -3.0]) + 1e4), w)
 
 
-def test_fine_oracle_factor_one_identity(linear1d):
-    grid = build_grid(1, 6.0, 61)
-    sched = TimeSchedule(0.2, 10)
-    _, obs = simulate(linear1d, sched, seed=13)
-    direct = run_filter(linear1d, grid, sched, obs, [coordinate(0)], substeps=2)
-    oracle = fine_oracle(
-        linear1d, grid, sched, obs, [coordinate(0)],
-        coarse_steps=10, space_refine=1, substeps=2,
-    )
-    assert_array_equal(oracle, direct.estimates)
-
-
 def test_fine_oracle_near_kalman(linear1d):
     grid = build_grid(1, 6.0, 121)
     coarse = TimeSchedule(0.25, 25)
     fine = TimeSchedule(0.25, 100)
     _, obs_fine = simulate(linear1d, fine, substeps=2, seed=19)
     kal = kalman_filter(linear1d, fine, obs_fine)
-    est = fine_oracle(linear1d, grid, fine, obs_fine, [coordinate(0)], coarse_steps=25)
-    err = np.mean(np.abs(est[1:, 0] - kal.means[::4][1:, 0]))
+    # the grid filter on the mesh refined twice per axis, read at the coarse knots
+    (res,) = ORACLES["fine_oracle"](linear1d, grid, fine, [obs_fine], [coordinate(0)], [19], 4,
+                                    None)
+    est = res.column("x1")[::4]
+    err = np.mean(np.abs(est[1:] - kal.means[::4][1:, 0]))
     assert err < 3e-3
 
 
@@ -289,6 +280,11 @@ _CONSUMERS = {
     "kalman_filter": lambda m, s, obs: kalman_filter(m, s, obs),
     "bootstrap_pf": lambda m, s, obs: bootstrap_pf(m, s, obs, [coordinate(0)], 50, seed=1),
     "ks_monte_carlo": lambda m, s, obs: ks_monte_carlo(m, s, obs, [coordinate(0)], 50, seed=1),
+    **{
+        f"ORACLES[{name}]": lambda m, s, obs, fn=fn: fn(
+            m, build_grid(1, 4.0, 41), s, [obs], [coordinate(0)], [2], 4, 50)
+        for name, fn in ORACLES.items()
+    },
 }
 
 

@@ -14,9 +14,11 @@ from yyfilter import (
     builtin_model,
     coordinate,
     kalman_filter,
+    ks_monte_carlo,
     run_filter,
     simulate,
 )
+from yyfilter.baselines import BASELINES, SWEEP_ORACLES
 from yyfilter.cli import main
 from yyfilter.config import ConfigError, load_config, parse_test_function
 
@@ -167,6 +169,68 @@ def test_cmd_baseline_particle_agreement_and_offset_seed(tmp_path):
     assert (out / "bootstrap_pf_s0.csv").read_text().split("\n", 1)[1] == pf.to_csv()
 
 
+def test_cmd_baseline_ks_monte_carlo(tmp_path):
+    cfg_path = _write(
+        tmp_path, BASE_CONFIG + "\n[baseline]\nmethod = ks_monte_carlo\nparticles = 500\n"
+    )
+    out = tmp_path / "base"
+    assert main(["baseline", "--config", cfg_path, "--out", str(out)]) == 0
+    header, rows = _table(out / "agreement.csv")
+    assert header == "seed,mean_abs_gap,frac_within_3se"
+    assert all(float(r[1]) > 0 and 0 <= float(r[2]) <= 1 for r in rows)
+    model = builtin_model("linear1d")
+    sched = TimeSchedule(0.2, 10)
+    _, ys = simulate(model, sched, substeps=4, seed=0)
+    ks = ks_monte_carlo(model, sched, ys, [coordinate(0)], 500, substeps=4, seed=1000)
+    assert (out / "ks_monte_carlo_s0.csv").read_text().split("\n", 1)[1] == ks.to_csv()
+
+
+@pytest.mark.parametrize(
+    "command, section, field",
+    [
+        ("baseline", "", "[baseline] method"),  # method defaults to kalman
+        ("sweep", "\n[sweep]\naxis = dt\nvalues = 0.04, 0.02\n", "[sweep] oracle"),
+    ],
+)
+def test_kalman_oracle_on_a_nonlinear_model_is_refused_before_compute(
+    tmp_path, capsys, monkeypatch, command, section, field
+):
+    cfg_path = _write(tmp_path, BASE_CONFIG.replace("linear1d", "benes") + section)
+    load_config(cfg_path)  # the config itself is valid: `filter` runs on it
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr("yyfilter.cli.simulate", no_simulation)
+    monkeypatch.setattr("yyfilter.diagnostics.simulate", no_simulation)
+    out = tmp_path / command
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "'benes'" in err
+    assert not out.exists()
+
+
+def test_sweeps_need_two_seeds_other_commands_take_one(tmp_path, capsys):
+    one_seed = BASE_CONFIG.replace("seeds = 2", "seeds = 1")
+    for sweep in ("axis = dt\nvalues = 0.04, 0.02", "axis = R\nvalues = 3, 4"):
+        out = tmp_path / "sweep"
+        cfg_path = _write(tmp_path, one_seed + f"\n[sweep]\n{sweep}\n")
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "[run] seeds" in capsys.readouterr().err
+        assert not out.exists()
+    for command, written in (("filter", "filter_s0.csv"), ("baseline", "kalman_s0.csv")):
+        out = tmp_path / command
+        assert main([command, "--config", _write(tmp_path, one_seed), "--out", str(out)]) == 0
+        assert (out / written).exists()
+
+
+def test_unknown_oracle_lists_the_valid_names(tmp_path):
+    for section, names in (("[sweep]\noracle = bootstrap_pf", SWEEP_ORACLES),
+                           ("[baseline]\nmethod = fine_oracle", BASELINES)):
+        with pytest.raises(ConfigError, match=re.escape(f"valid names: {', '.join(names)}")):
+            load_config(_write(tmp_path, BASE_CONFIG + f"\n{section}\n"))
+
+
 def test_mass_collapse_names_its_step_size(tmp_path, capsys):
     # dt = 0.05 is too coarse for the cubic sensor: the clamp guard trips, and
     # its message must name the step size, not only the knot.
@@ -239,6 +303,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("filter", "test_functions = x3", "[filter] test_functions"),
         ("filter", "test_functions = x1, x1*x2", "[filter] test_functions"),
         ("filter", "test_functions = x0", "[filter] test_functions"),
+        # the particle dt-sweep oracle is gone; the fine grid is no baseline
+        ("sweep", "oracle = bootstrap_pf", "[sweep] oracle"),
+        ("baseline", "method = fine_oracle", "[baseline] method"),
     ],
 )
 def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line, field):
