@@ -321,8 +321,8 @@ def bootstrap_pf(
     reweighted by exp(h^T dY - 1/2 |h|^2 dt), and are systematically
     resampled whenever ESS drops below N/2.
     """
-    if n_particles < 2:
-        raise ValueError("n_particles must be >= 2")
+    if n_particles < 3:
+        raise ValueError("n_particles must be >= 3: at N = 2 the ESS never falls below N/2")
     K = schedule.steps
     dt = schedule.dt
     rng = _rng_for(seed)
@@ -347,8 +347,9 @@ def bootstrap_pf(
 
 # Every oracle: fn(model, grid, schedule, paths, test_functions, seeds, substeps,
 # particles) -> one result per path, each reading a label through column(label).
-# The particle entries draw from the path's seed plus 1000, offset from the
-# path's own stream, which drew the hidden X_0.
+# The particle entries draw from the path's seed plus this offset, away from
+# the path's own stream, which drew the hidden X_0.
+PARTICLE_SEED_OFFSET = 1000
 
 
 def _kalman(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
@@ -362,13 +363,14 @@ def _refined_grid_filter(model, grid, schedule, paths, test_functions, seeds, su
 
 
 def _bootstrap_pf(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
-    return [bootstrap_pf(model, schedule, ys, test_functions, particles, seed=seed + 1000)
+    return [bootstrap_pf(model, schedule, ys, test_functions, particles,
+                         seed=seed + PARTICLE_SEED_OFFSET)
             for seed, ys in zip(seeds, paths)]
 
 
 def _ks_monte_carlo(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
     return [ks_monte_carlo(model, schedule, ys, test_functions, particles, substeps=substeps,
-                           seed=seed + 1000)
+                           seed=seed + PARTICLE_SEED_OFFSET)
             for seed, ys in zip(seeds, paths)]
 
 

@@ -223,8 +223,9 @@ def load_config(path) -> ExperimentConfig:
 
     baseline = need_name("baseline", "method", BASELINES, "kalman")
     particles = need_int("baseline", "particles", "10000")
-    if particles < 2:
-        raise ConfigError("field [baseline] particles must be >= 2")
+    least = 3 if baseline == "bootstrap_pf" else 2  # at N = 2 a PF's ESS never falls below N/2
+    if particles < least:
+        raise ConfigError(f"field [baseline] particles must be >= {least} for {baseline}")
 
     sweep_axis = need_name("sweep", "axis", ("dt", "R"), "dt")
     if steps is None and sweep_axis == "R":

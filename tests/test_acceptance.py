@@ -14,7 +14,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
-from yyfilter.baselines import bootstrap_pf, kalman_filter
+from yyfilter.baselines import PARTICLE_SEED_OFFSET, bootstrap_pf, kalman_filter
 from yyfilter.diagnostics import (
     convergence_sweep,
     exp_moment_step_check,
@@ -185,7 +185,7 @@ def _crossval_cell(args):
     phi = [coordinate(0)]
     _, obs = simulate(model, schedule, substeps=4, seed=seed)
     out = run_filter(model, grid, schedule, obs, phi, substeps=substeps)
-    pf = bootstrap_pf(model, schedule, obs, phi, 100_000, seed=seed + 1000)
+    pf = bootstrap_pf(model, schedule, obs, phi, 100_000, seed=seed + PARTICLE_SEED_OFFSET)
     diff = np.abs(out.estimates[1:, 0] - pf.estimates[1:, 0])
     window = 3 * np.maximum(pf.stderr[1:, 0], 1e-12)
     return name, float(np.mean(diff <= window))

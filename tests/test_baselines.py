@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from yyfilter.baselines import (
     ORACLES,
+    PARTICLE_SEED_OFFSET,
     _discrete_transition,
     _ess,
     _normalized_weights,
@@ -420,7 +421,8 @@ def _resampled(ess, n):
         ("cubic_sensor", None, 30, 2.0, 3000, 5),
         ("linearNd", 2, 12, 25.0, 300, 4),
         ("linearNd", 2, 20, 2.0, 2000, 8),
-        ("benes", None, 10, 1.0, 2, 1),  # two particles: ESS >= 1 = N/2, never resampled
+        # two particles: ks_monte_carlo only, since bootstrap_pf refuses fewer than 3
+        ("benes", None, 10, 1.0, 2, 1),
         ("linearNd", 2, 10, 1.0, 2, 6),
     ],
 )
@@ -429,14 +431,25 @@ def test_particle_oracles_match_the_sequential_stream(name, dim, steps, scale, n
     sched = TimeSchedule(0.5, steps)
     obs = _loud_path(m, sched, scale, seed)
     phis = [coordinate(i) for i in range(m.dim)]
-    res = bootstrap_pf(m, sched, obs, phis, n, seed=seed + 1000)
+    seed += PARTICLE_SEED_OFFSET
+    if n >= 3:
+        res = bootstrap_pf(m, sched, obs, phis, n, seed=seed)
+        for got, want in zip((res.estimates, res.stderr, res.ess),
+                             _ref_bootstrap_pf(m, sched, obs, phis, n, seed=seed)):
+            assert_array_equal(got, want)
+    res = ks_monte_carlo(m, sched, obs, phis, n, substeps=3, seed=seed)
     for got, want in zip((res.estimates, res.stderr, res.ess),
-                         _ref_bootstrap_pf(m, sched, obs, phis, n, seed=seed + 1000)):
+                         _ref_ks_monte_carlo(m, sched, obs, phis, n, substeps=3, seed=seed)):
         assert_array_equal(got, want)
-    res = ks_monte_carlo(m, sched, obs, phis, n, substeps=3, seed=seed + 1000)
-    for got, want in zip((res.estimates, res.stderr, res.ess),
-                         _ref_ks_monte_carlo(m, sched, obs, phis, n, substeps=3, seed=seed + 1000)):
-        assert_array_equal(got, want)
+
+
+def test_bootstrap_pf_refuses_two_particles():
+    # With N = 2 the ESS is at least 1 = N/2, so the rule ess < N/2 never resamples.
+    m = builtin_model("benes")
+    sched = TimeSchedule(0.5, 10)
+    _, obs = simulate(m, sched, seed=1)
+    with pytest.raises(ValueError, match="never falls below"):
+        bootstrap_pf(m, sched, obs, [coordinate(0)], 2, seed=1)
 
 
 def test_stream_cases_cover_every_resampling_pattern():
@@ -446,7 +459,7 @@ def test_stream_cases_cover_every_resampling_pattern():
         m = builtin_model(name, dim)
         sched = TimeSchedule(0.5, steps)
         obs = _loud_path(m, sched, scale, seed)
-        ess = bootstrap_pf(m, sched, obs, [coordinate(0)], n, seed=seed + 1000).ess
+        ess = bootstrap_pf(m, sched, obs, [coordinate(0)], n, seed=seed + PARTICLE_SEED_OFFSET).ess
         return _resampled(ess[1:], n) + 1
 
     for loud in (pattern("linear1d", None, 12, 40.0, 400, 3),

@@ -18,7 +18,7 @@ from yyfilter import (
     run_filter,
     simulate,
 )
-from yyfilter.baselines import BASELINES, SWEEP_ORACLES
+from yyfilter.baselines import BASELINES, PARTICLE_SEED_OFFSET, SWEEP_ORACLES
 from yyfilter.cli import main
 from yyfilter.config import ConfigError, load_config, parse_test_function
 
@@ -165,7 +165,7 @@ def test_cmd_baseline_particle_agreement_and_offset_seed(tmp_path):
     model = builtin_model("linear1d")
     sched = TimeSchedule(0.2, 10)
     _, ys = simulate(model, sched, substeps=4, seed=0)
-    pf = bootstrap_pf(model, sched, ys, [coordinate(0)], 500, seed=1000)
+    pf = bootstrap_pf(model, sched, ys, [coordinate(0)], 500, seed=PARTICLE_SEED_OFFSET)
     assert (out / "bootstrap_pf_s0.csv").read_text().split("\n", 1)[1] == pf.to_csv()
 
 
@@ -181,7 +181,8 @@ def test_cmd_baseline_ks_monte_carlo(tmp_path):
     model = builtin_model("linear1d")
     sched = TimeSchedule(0.2, 10)
     _, ys = simulate(model, sched, substeps=4, seed=0)
-    ks = ks_monte_carlo(model, sched, ys, [coordinate(0)], 500, substeps=4, seed=1000)
+    ks = ks_monte_carlo(model, sched, ys, [coordinate(0)], 500, substeps=4,
+                        seed=PARTICLE_SEED_OFFSET)
     assert (out / "ks_monte_carlo_s0.csv").read_text().split("\n", 1)[1] == ks.to_csv()
 
 
@@ -284,6 +285,7 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("model", "dim = 2", "[model] dim"),
         ("model", "name = linearNd\ndim = 5", "[model] dim"),
         ("baseline", "particles = 1e4.5", "[baseline] particles"),
+        ("baseline", "method = bootstrap_pf\nparticles = 2", "[baseline] particles"),
         ("sweep", "values = 0.02, fast", "[sweep] values"),
         ("sweep", "values = 0.02, 0", "[sweep] values"),
         ("sweep", "values = -0.01", "[sweep] values"),
