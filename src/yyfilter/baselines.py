@@ -30,7 +30,7 @@ from scipy.linalg import expm
 from .filtering import run_filter
 from .models import FilterModel, TestFunction, TimeSchedule
 from .pde import build_grid
-from .sde import ObservationPath, observation_increments, _rng_for
+from .sde import PATH_SUBSTEPS, ObservationPath, observation_increments, _rng_for
 from .tables import csv_table
 
 log = logging.getLogger("yyfilter")
@@ -260,7 +260,7 @@ def ks_monte_carlo(
     obs: ObservationPath,
     test_functions: Sequence[TestFunction],
     n_particles: int,
-    substeps: int = 4,
+    substeps: int = PATH_SUBSTEPS,
     seed: int = 0,
 ) -> ParticleResult:
     """Bayes-ratio Monte Carlo under the reference measure.
@@ -347,6 +347,7 @@ def bootstrap_pf(
 
 # Every oracle: fn(model, grid, schedule, paths, test_functions, seeds, substeps,
 # particles) -> one result per path, each reading a label through column(label).
+# `substeps` is the grid filter's Crank-Nicolson stage count, read by fine_oracle only.
 # The particle entries draw from the path's seed plus this offset, away from
 # the path's own stream, which drew the hidden X_0.
 PARTICLE_SEED_OFFSET = 1000
@@ -369,7 +370,7 @@ def _bootstrap_pf(model, grid, schedule, paths, test_functions, seeds, substeps,
 
 
 def _ks_monte_carlo(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
-    return [ks_monte_carlo(model, schedule, ys, test_functions, particles, substeps=substeps,
+    return [ks_monte_carlo(model, schedule, ys, test_functions, particles,
                            seed=seed + PARTICLE_SEED_OFFSET)
             for seed, ys in zip(seeds, paths)]
 

@@ -23,7 +23,7 @@ from .diagnostics import convergence_sweep, radius_sweep
 from .filtering import run_filter
 from .models import validate_assumptions
 from .pde import build_grid
-from .sde import paths_to_csv, simulate
+from .sde import PATH_SUBSTEPS, paths_to_csv, simulate
 from .tables import csv_table
 
 log = logging.getLogger("yyfilter")
@@ -45,18 +45,20 @@ def _grid(cfg: ExperimentConfig):
     return build_grid(cfg.model.dim, cfg.grid_radius, cfg.grid_points)
 
 
+def _simulate(cfg: ExperimentConfig):
+    """One (state, observation) pair per seed, at PATH_SUBSTEPS whatever [filter] substeps says."""
+    return simulate(cfg.model, cfg.schedule, substeps=PATH_SUBSTEPS, seed=cfg.seeds)
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, schedule = cfg.model, cfg.schedule
-    pairs = simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)
-    for seed, (xs, ys) in zip(cfg.seeds, pairs):
+    for seed, (xs, ys) in zip(cfg.seeds, _simulate(cfg)):
         _write(cfg, out_dir, f"paths_s{seed}.csv", paths_to_csv(xs, ys))
     return 0
 
 
 def cmd_filter(cfg: ExperimentConfig, out_dir: Path) -> int:
-    model, schedule = cfg.model, cfg.schedule
-    obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
-    outs = run_filter(model, _grid(cfg), schedule, obs, cfg.test_functions(),
+    obs = [ys for _, ys in _simulate(cfg)]
+    outs = run_filter(cfg.model, _grid(cfg), cfg.schedule, obs, cfg.test_functions(),
                       substeps=cfg.substeps)
     for seed, out in zip(cfg.seeds, outs):
         _write(cfg, out_dir, f"filter_s{seed}.csv", out.to_csv())
@@ -79,7 +81,7 @@ def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
     _refuse_nonlinear(cfg, "[baseline] method", cfg.baseline)
     grid, phis = _grid(cfg), cfg.test_functions()
     label = phis[0].label
-    obs = [ys for _, ys in simulate(model, schedule, substeps=cfg.substeps, seed=cfg.seeds)]
+    obs = [ys for _, ys in _simulate(cfg)]
     outs = run_filter(model, grid, schedule, obs, phis[:1], substeps=cfg.substeps)
     results = ORACLES[cfg.baseline](model, grid, schedule, obs, phis, cfg.seeds, cfg.substeps,
                                     cfg.particles)

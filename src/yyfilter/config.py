@@ -14,7 +14,7 @@ Example::
     steps = 1000
 
     [filter]
-    substeps = 4
+    substeps = 8
     test_functions = x1
 
     [run]
@@ -32,10 +32,15 @@ Example::
 Only [model], [grid], and [schedule] are required, and a dt sweep, which
 takes its step counts from [sweep] values, may leave [schedule] steps out
 (a command that needs it then exits naming it); every applied default
-is echoed to the log.  Validation happens before any compute and errors
-name the offending field; a section or key the loader does not read is
-an error too.  An R sweep builds one grid per radius at the [grid]
-spacing 2 * radius / (points - 1), so each radius must be a multiple of it.
+is echoed to the log.  [filter] substeps is the grid filter's
+Crank-Nicolson stage count per knot (default filtering.DEFAULT_SUBSTEPS)
+and nothing else: simulate, filter and baseline always simulate their
+paths at sde.PATH_SUBSTEPS Euler substeps per knot, and a sweep at the
+diagnostics' own resolution.  Validation happens before any compute and
+errors name the offending field; a section or key the loader does not
+read is an error too.  An R sweep builds one grid per radius at the
+[grid] spacing 2 * radius / (points - 1), so each radius must be a
+multiple of it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .baselines import BASELINES, SWEEP_ORACLES
+from .filtering import DEFAULT_SUBSTEPS
 from .models import (
     FilterModel,
     TestFunction,
@@ -201,7 +207,7 @@ def load_config(path) -> ExperimentConfig:
     if points < 5 or points % 2 == 0:
         raise ConfigError("field [grid] points must be an odd integer >= 5")
 
-    substeps = need_int("filter", "substeps", "4")
+    substeps = need_int("filter", "substeps", str(DEFAULT_SUBSTEPS))
     if substeps < 1:
         raise ConfigError("field [filter] substeps must be >= 1")
     labels = tuple(

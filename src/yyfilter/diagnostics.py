@@ -24,26 +24,16 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .baselines import LINEAR_ORACLES, ORACLES, SWEEP_ORACLES
-from .filtering import run_filter
+from .filtering import DEFAULT_SUBSTEPS, run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
 from .pde import (
     DensityField, Grid, assemble_generator, build_grid, discretize_initial, integrate, propagate
 )
 from .sde import simulate, subsample
 from .tables import csv_table
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
-def _logmeanexp(values: np.ndarray) -> float:
-    return _logsumexp(values) - math.log(len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +86,15 @@ class MomentGrowthReport:
 def _seed_readouts(model, grid, gen, schedules, seeds, substeps, stage, readout):
     """Per-knot readouts of the filter runs of every seed on each schedule.
 
-    Each seed's path is simulated once, on the finest (last) schedule, and
-    subsampled to the others; each schedule takes one batched filter run.
+    Each seed's path is simulated once, at _PATH_SUBSTEPS on the finest
+    (last) schedule, and subsampled to the others; each schedule takes one
+    batched filter run at `substeps` Crank-Nicolson stages.
     `readout(field, y_prev)` sees each path's field at each knot at
     `stage`, with y_prev that path's observation at tau_{k-1}.  Returns one
     array of shape (seeds, steps, ...) per schedule.
     """
     finest = schedules[-1]
-    obs_fine = [ys for _, ys in simulate(model, finest, substeps=substeps, seed=seeds)]
+    obs_fine = [ys for _, ys in simulate(model, finest, substeps=_PATH_SUBSTEPS, seed=seeds)]
     levels = []
     for sched in schedules:
         obs = [subsample(o, finest.steps // sched.steps) for o in obs_fine]
@@ -132,7 +123,7 @@ def moment_growth_check(
     schedule: TimeSchedule,
     obs_seeds: Sequence[int],
     order: int,
-    substeps: int = 4,
+    substeps: int = DEFAULT_SUBSTEPS,
 ) -> MomentGrowthReport:
     """Growth of the unnormalized moment of (1 + |x|^order) along filter runs.
 
@@ -154,10 +145,10 @@ def moment_growth_check(
 
     levels = _seed_readouts(model, grid, gen, (schedule, fine), obs_seeds, substeps, "updated",
                             lambda fld, _: _unnormalized_log_moment(fld, weight_nodes))
-    log_ratios = []
-    for logs in levels:  # (seeds, steps)
-        knot_means = np.array([_logmeanexp(logs[:, k]) for k in range(logs.shape[1])])
-        log_ratios.append(float(np.max(knot_means)) - log_init)
+    log_ratios = [  # per level, the largest over knots of the log of the seed mean
+        float(np.max(logsumexp(logs, axis=0))) - math.log(len(obs_seeds)) - log_init
+        for logs in levels  # (seeds, steps)
+    ]
 
     T = schedule.terminal
     exponents = tuple(lr / T for lr in log_ratios)
@@ -211,7 +202,7 @@ def l4_stability_check(
     grid: Grid,
     schedules: Sequence[TimeSchedule],
     obs_seeds: Sequence[int],
-    substeps: int = 4,
+    substeps: int = DEFAULT_SUBSTEPS,
 ) -> L4StabilityReport:
     """Uniform-in-dt boundedness of the reconstructed pre-update fields.
 
@@ -235,11 +226,10 @@ def l4_stability_check(
     levels = _seed_readouts(model, grid, gen, schedules, obs_seeds, substeps, "propagated",
                             lambda fld, y: _reconstructed_log_norms(fld, gen.observation, y))
     sup_l2, sup_l4 = [], []
-    for norms, sched in zip(levels, schedules):  # (seeds, steps, 2)
-        l2_knots = np.array([_logmeanexp(norms[:, k, 0]) for k in range(sched.steps)])
-        l4_knots = np.array([_logmeanexp(norms[:, k, 1]) for k in range(sched.steps)])
-        sup_l2.append(math.exp(float(np.max(l2_knots))))
-        sup_l4.append(math.exp(float(np.max(l4_knots))))
+    for norms in levels:  # (seeds, steps, 2): the largest over knots of the seed means
+        l2, l4 = np.max(logsumexp(norms, axis=0), axis=0) - math.log(len(obs_seeds))
+        sup_l2.append(math.exp(l2))
+        sup_l4.append(math.exp(l4))
 
     def spread(vals):
         return max(vals) / min(vals) - 1.0
@@ -399,6 +389,9 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray):
 
 # The oracle and the simulated paths run at the finest swept dt divided by this.
 _ORACLE_REFINE = 4
+# Euler substeps per knot of every path the sweeps and growth checks simulate,
+# whatever their Crank-Nicolson `substeps`.
+_PATH_SUBSTEPS = 2
 
 
 def convergence_sweep(
@@ -409,15 +402,15 @@ def convergence_sweep(
     seeds: Sequence[int],
     oracle: str = "kalman",
     phi: Optional[TestFunction] = None,
-    substeps: int = 4,
-    sim_substeps: int = 2,
+    substeps: int = DEFAULT_SUBSTEPS,
 ) -> SweepResult:
     """Mean |estimate - oracle| against dt.
 
     Per seed, one observation path is simulated at the finest dt over
-    _ORACLE_REFINE and subsampled to every coarser level; the oracle
-    (near-exact reference, one of SWEEP_ORACLES) is computed once at that
-    simulation resolution and read at coarse knots.  The paths of all
+    _ORACLE_REFINE, with _PATH_SUBSTEPS Euler substeps per knot, and
+    subsampled to every coarser level; the oracle (near-exact reference,
+    one of SWEEP_ORACLES) is computed once at that simulation resolution
+    and read at coarse knots.  The paths of all
     seeds run as one batch: one simulation, one oracle run, and one
     filter run per dt.  Returns per-dt means with standard errors over
     seeds (at least two) and the fitted log-log slope (NaN, flagged in
@@ -440,7 +433,7 @@ def convergence_sweep(
 
     k_sim = round(terminal / finest) * _ORACLE_REFINE
     sim_sched = TimeSchedule(terminal, k_sim)
-    obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=sim_substeps, seed=seeds)]
+    obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
     refs = [res.column(phi.label) for res in ORACLES[oracle](
         model, grid, sim_sched, obs_fine, (phi,), seeds, substeps, None)]
 
@@ -478,8 +471,7 @@ def radius_sweep(
     dx: float,
     seeds: Sequence[int],
     phi: Optional[TestFunction] = None,
-    substeps: int = 4,
-    sim_substeps: int = 2,
+    substeps: int = DEFAULT_SUBSTEPS,
 ) -> SweepResult:
     """Estimate drift and tail mass across domain radii at fixed spacing.
 
@@ -499,7 +491,7 @@ def radius_sweep(
         raise ValueError("need at least 2 seeds for the standard errors")
     phi = phi if phi is not None else coordinate(0)
 
-    obs = [ys for _, ys in simulate(model, schedule, substeps=sim_substeps, seed=seeds)]
+    obs = [ys for _, ys in simulate(model, schedule, substeps=_PATH_SUBSTEPS, seed=seeds)]
     probe = np.empty((len(seeds), schedule.steps, len(radii)))
 
     def hook(k, stage, fld):

@@ -41,6 +41,9 @@ class MassCollapseError(RuntimeError):
 # Largest share of the field mass one propagation step may clamp away.
 CLAMP_TOLERANCE = 1e-8
 
+# Crank-Nicolson stages per knot interval when the caller names none.
+DEFAULT_SUBSTEPS = 4
+
 
 @dataclass(frozen=True)
 class FilterOutput:
@@ -82,7 +85,7 @@ def run_filter(
     schedule: TimeSchedule,
     obs: Union[ObservationPath, Sequence[ObservationPath]],
     test_functions: Sequence[TestFunction],
-    substeps: int = 4,
+    substeps: int = DEFAULT_SUBSTEPS,
     generator: Optional[DiscreteGenerator] = None,
     field_hook: Optional[Callable[[int, str, DensityField], None]] = None,
 ) -> Union[FilterOutput, list[FilterOutput]]:

@@ -269,7 +269,23 @@ def _std_normal_sampler(rng, n, d=1):
     return ndtri(rng.random((n, d)))
 
 
-_REGISTRY_NAMES = ("linear1d", "linearNd", "benes", "cubic_sensor")
+def _unit_ou(d):
+    """dX = -X dt + dV, dY = X dt + dW, X_0 ~ N(0, I) in d dimensions."""
+    return LinearSystem(drift_matrix=-np.eye(d), diffusion_matrix=np.eye(d),
+                        observation_matrix=np.eye(d), prior_mean=np.zeros(d), prior_cov=np.eye(d))
+
+
+# name -> (drift, observation, linear system at dim d or None).  Every model has
+# unit diffusion and a N(0, I) prior; linearNd is the linear1d row at dim 2 or 3.
+# The cubic sensor's x^3 is its observation, not a test function, so the growth
+# envelope for phi stays at order 2.
+_REGISTRY = {
+    "linear1d": (_neg_x, _identity_obs, _unit_ou),
+    "linearNd": (_neg_x, _identity_obs, _unit_ou),
+    "benes": (_tanh_drift, _identity_obs, None),
+    "cubic_sensor": (_neg_x, _cubic_obs, None),
+}
+_REGISTRY_NAMES = tuple(_REGISTRY)
 
 
 def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
@@ -279,11 +295,10 @@ def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
     are one-dimensional.  Raises RegistryError listing the valid names when
     the name is unknown, and ValueError for a dim the model does not have.
     """
-    if name not in _REGISTRY_NAMES:
+    if name not in _REGISTRY:
         raise RegistryError(
             f"unknown model {name!r}; valid names: {', '.join(_REGISTRY_NAMES)}"
         )
-
     if name == "linearNd":
         d = 2 if dim is None else int(dim)
         if not 2 <= d <= 3:
@@ -293,51 +308,19 @@ def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
         if dim not in (None, 1):
             raise ValueError(f"{name} is one-dimensional")
 
-    profile = AssumptionProfile(
-        lipschitz=1.0, ellipticity=1.0, moment_order=4, growth_order=2, growth_bound=1.0
-    )
-
-    if name in ("linear1d", "linearNd"):
-        linear = LinearSystem(
-            drift_matrix=-np.eye(d),
-            diffusion_matrix=np.eye(d),
-            observation_matrix=np.eye(d),
-            prior_mean=np.zeros(d),
-            prior_cov=np.eye(d),
-        )
-        return FilterModel(
-            name=name,
-            dim=d,
-            drift=_neg_x,
-            diffusion=_unit_diffusion,
-            observation=_identity_obs,
-            initial_density=_std_normal_density,
-            assumptions=profile,
-            initial_sampler=partial(_std_normal_sampler, d=d),
-            linear=linear,
-        )
-    if name == "benes":
-        return FilterModel(
-            name=name,
-            dim=1,
-            drift=_tanh_drift,
-            diffusion=_unit_diffusion,
-            observation=_identity_obs,
-            initial_density=_std_normal_density,
-            assumptions=profile,
-            initial_sampler=partial(_std_normal_sampler, d=1),
-        )
-    # cubic_sensor: the x^3 readout is the observation, not a test
-    # function, so the growth envelope for phi stays at order 2.
+    drift, observation, linear = _REGISTRY[name]
     return FilterModel(
         name=name,
-        dim=1,
-        drift=_neg_x,
+        dim=d,
+        drift=drift,
         diffusion=_unit_diffusion,
-        observation=_cubic_obs,
+        observation=observation,
         initial_density=_std_normal_density,
-        assumptions=profile,
-        initial_sampler=partial(_std_normal_sampler, d=1),
+        assumptions=AssumptionProfile(
+            lipschitz=1.0, ellipticity=1.0, moment_order=4, growth_order=2, growth_bound=1.0
+        ),
+        initial_sampler=partial(_std_normal_sampler, d=d),
+        linear=None if linear is None else linear(d),
     )
 
 

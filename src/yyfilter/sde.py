@@ -25,6 +25,11 @@ class SimulationError(RuntimeError):
     """State integration produced a non-finite value."""
 
 
+# Euler substeps per knot of the paths the command line simulates, and of the
+# KS oracle's particle paths: the data's resolution, whatever the filter's.
+PATH_SUBSTEPS = 4
+
+
 @dataclass(frozen=True)
 class _KnotPath:
     schedule: TimeSchedule

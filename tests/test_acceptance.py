@@ -40,7 +40,7 @@ from yyfilter.pde import (
     mollifier,
     propagate,
 )
-from yyfilter.sde import simulate
+from yyfilter.sde import PATH_SUBSTEPS, simulate
 
 SEEDS_50 = list(range(50))
 SEEDS_20 = list(range(20))
@@ -72,7 +72,7 @@ def test_c1_kalman_equivalence():
     schedule = TimeSchedule(1.0, 1000)
     phi = [coordinate(0)]
     started = time.time()
-    obs = [ys for _, ys in simulate(model, schedule, substeps=4, seed=SEEDS_50)]
+    obs = [ys for _, ys in simulate(model, schedule, substeps=PATH_SUBSTEPS, seed=SEEDS_50)]
     outs = run_filter(model, grid, schedule, obs, phi, substeps=4, generator=gen)
     errs = [
         np.mean(np.abs(out.estimates[1:, 0] - kal.means[1:, 0]))
@@ -103,7 +103,7 @@ def test_c2_convergence_rate():
     deltas = [0.02, 0.01, 0.005, 0.0025]
     res = convergence_sweep(
         model, grid, 1.0, deltas, SEEDS_50, oracle="kalman", phi=coordinate(0),
-        substeps=4, sim_substeps=2,
+        substeps=4,
     )
     halving = res.mean_err[-1] <= 0.5 * res.mean_err[0]
     meets_rate = res.slope >= 0.35
@@ -183,7 +183,7 @@ def _crossval_cell(args):
     grid = build_grid(1, 6.0, 241)
     schedule = TimeSchedule(1.0, 1000)
     phi = [coordinate(0)]
-    _, obs = simulate(model, schedule, substeps=4, seed=seed)
+    _, obs = simulate(model, schedule, substeps=PATH_SUBSTEPS, seed=seed)
     out = run_filter(model, grid, schedule, obs, phi, substeps=substeps)
     pf = bootstrap_pf(model, schedule, obs, phi, 100_000, seed=seed + PARTICLE_SEED_OFFSET)
     diff = np.abs(out.estimates[1:, 0] - pf.estimates[1:, 0])
@@ -400,7 +400,7 @@ def test_c9_clamped_mass_small_on_registry_runs():
         model = builtin_model(name)
         grid = build_grid(1, 6.0, 241)
         schedule = TimeSchedule(1.0, 1000)
-        _, obs = simulate(model, schedule, substeps=4, seed=5)
+        _, obs = simulate(model, schedule, substeps=PATH_SUBSTEPS, seed=5)
         out = run_filter(model, grid, schedule, obs, [coordinate(0)], substeps=substeps)
         worst[name] = float(np.max(out.clamped_mass / np.maximum(out.mass_mantissa, 1e-300)))
     ok = all(v < 1e-8 for v in worst.values())

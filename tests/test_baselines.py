@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from yyfilter.models import (
     _unit_diffusion,
 )
 from yyfilter.pde import build_grid
-from yyfilter.sde import ObservationPath, _rng_for, observation_increments, simulate
+from yyfilter.sde import PATH_SUBSTEPS, ObservationPath, _rng_for, observation_increments, simulate
 
 
 def _zero_vec(points):
@@ -523,3 +525,31 @@ def test_concurrent_particle_filters_keep_their_own_streams():
         assert_array_equal(res.estimates, est)
         assert_array_equal(res.stderr, serr)
         assert_array_equal(res.ess, ess)
+
+
+def test_ks_oracle_ignores_the_filter_substeps(linear1d):
+    # the table's `substeps` is the grid filter's stage count; the particles keep PATH_SUBSTEPS
+    sched, seeds, phis = TimeSchedule(0.1, 5), [2, 3], [coordinate(0)]
+    obs = [ys for _, ys in simulate(linear1d, sched, substeps=PATH_SUBSTEPS, seed=seeds)]
+    at4, at8 = (ORACLES["ks_monte_carlo"](linear1d, None, sched, obs, phis, seeds, n, 200)
+                for n in (4, 8))
+    for seed, ys, a, b in zip(seeds, obs, at4, at8):
+        one = ks_monte_carlo(linear1d, sched, ys, phis, 200, substeps=PATH_SUBSTEPS,
+                             seed=seed + PARTICLE_SEED_OFFSET)
+        for res in (a, b):
+            assert_array_equal(res.estimates, one.estimates)
+            assert_array_equal(res.stderr, one.stderr)
+            assert_array_equal(res.ess, one.ess)
+
+
+def test_bench_copies_of_package_constants_match():
+    # bench/workloads.py spells its particle seed offset and path resolution
+    # itself; read them without importing it, and hold them to the package's
+    source = (Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text()
+    copies = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("PF_SEED_OFFSET", "SIM_SUBSTEPS")
+    }
+    assert copies == {"PF_SEED_OFFSET": PARTICLE_SEED_OFFSET, "SIM_SUBSTEPS": PATH_SUBSTEPS}

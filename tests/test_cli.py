@@ -21,6 +21,8 @@ from yyfilter import (
 from yyfilter.baselines import BASELINES, PARTICLE_SEED_OFFSET, SWEEP_ORACLES
 from yyfilter.cli import main
 from yyfilter.config import ConfigError, load_config, parse_test_function
+from yyfilter.filtering import DEFAULT_SUBSTEPS
+from yyfilter.sde import PATH_SUBSTEPS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -144,8 +146,9 @@ def test_cmd_baseline_kalman(tmp_path):
     assert header == "seed,mean_abs_gap"
     model = builtin_model("linear1d")
     sched = TimeSchedule(0.2, 10)
-    obs = [ys for _, ys in simulate(model, sched, substeps=4, seed=[0, 1])]
-    outs = run_filter(model, build_grid(1, 6.0, 61), sched, obs, [coordinate(0)], substeps=4)
+    obs = [ys for _, ys in simulate(model, sched, substeps=PATH_SUBSTEPS, seed=[0, 1])]
+    outs = run_filter(model, build_grid(1, 6.0, 61), sched, obs, [coordinate(0)],
+                      substeps=DEFAULT_SUBSTEPS)
     gaps = [np.mean(np.abs(o.estimates[1:, 0] - k.means[1:, 0]))
             for o, k in zip(outs, kalman_filter(model, sched, obs))]
     assert rows == [["0", repr(float(gaps[0]))], ["1", repr(float(gaps[1]))]]
@@ -164,7 +167,7 @@ def test_cmd_baseline_particle_agreement_and_offset_seed(tmp_path):
     # the particle stream is offset from the path's own, which drew the hidden X_0
     model = builtin_model("linear1d")
     sched = TimeSchedule(0.2, 10)
-    _, ys = simulate(model, sched, substeps=4, seed=0)
+    _, ys = simulate(model, sched, substeps=PATH_SUBSTEPS, seed=0)
     pf = bootstrap_pf(model, sched, ys, [coordinate(0)], 500, seed=PARTICLE_SEED_OFFSET)
     assert (out / "bootstrap_pf_s0.csv").read_text().split("\n", 1)[1] == pf.to_csv()
 
@@ -180,10 +183,50 @@ def test_cmd_baseline_ks_monte_carlo(tmp_path):
     assert all(float(r[1]) > 0 and 0 <= float(r[2]) <= 1 for r in rows)
     model = builtin_model("linear1d")
     sched = TimeSchedule(0.2, 10)
-    _, ys = simulate(model, sched, substeps=4, seed=0)
-    ks = ks_monte_carlo(model, sched, ys, [coordinate(0)], 500, substeps=4,
+    _, ys = simulate(model, sched, substeps=PATH_SUBSTEPS, seed=0)
+    ks = ks_monte_carlo(model, sched, ys, [coordinate(0)], 500, substeps=PATH_SUBSTEPS,
                         seed=PARTICLE_SEED_OFFSET)
     assert (out / "ks_monte_carlo_s0.csv").read_text().split("\n", 1)[1] == ks.to_csv()
+
+
+def _body(path):
+    return path.read_text().split("\n", 1)[1]  # the file without its config-hash line
+
+
+def test_filter_substeps_moves_the_filter_not_the_paths(tmp_path):
+    for n in (4, 8):
+        cfg_path = _write(tmp_path, BASE_CONFIG + f"\n[filter]\nsubsteps = {n}\n", f"s{n}.ini")
+        for command in ("simulate", "filter"):
+            out = str(tmp_path / f"{command}{n}")
+            assert main([command, "--config", cfg_path, "--out", out]) == 0
+    for seed in (0, 1):
+        name = f"paths_s{seed}.csv"
+        assert _body(tmp_path / "simulate4" / name) == _body(tmp_path / "simulate8" / name)
+    model, sched = builtin_model("linear1d"), TimeSchedule(0.2, 10)
+    obs = [ys for _, ys in simulate(model, sched, substeps=PATH_SUBSTEPS, seed=[0, 1])]
+    outs = run_filter(model, build_grid(1, 6.0, 61), sched, obs, [coordinate(0)], substeps=8)
+    for seed, out in zip((0, 1), outs):
+        assert _body(tmp_path / "filter8" / f"filter_s{seed}.csv") == out.to_csv()
+
+
+def test_cubic_baseline_is_the_acceptance_cross_validation_cell(tmp_path):
+    # as in the acceptance suite: paths at PATH_SUBSTEPS, the grid filter at 8
+    # stages, the particle filter on the path's seed plus the offset
+    text = BASE_CONFIG.replace("linear1d", "cubic_sensor").replace("points = 61", "points = 241")
+    text = text.replace("terminal = 0.2\nsteps = 10", "terminal = 0.05\nsteps = 50")
+    text += "\n[filter]\nsubsteps = 8\n\n[baseline]\nmethod = bootstrap_pf\nparticles = 300\n"
+    out = tmp_path / "base"
+    assert main(["baseline", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    _, rows = _table(out / "agreement.csv")
+    model, sched, phi = builtin_model("cubic_sensor"), TimeSchedule(0.05, 50), [coordinate(0)]
+    grid = build_grid(1, 6.0, 241)
+    for seed, row in zip((0, 1), rows):
+        _, ys = simulate(model, sched, substeps=PATH_SUBSTEPS, seed=seed)
+        est = run_filter(model, grid, sched, ys, phi, substeps=8).estimates[1:, 0]
+        pf = bootstrap_pf(model, sched, ys, phi, 300, seed=seed + PARTICLE_SEED_OFFSET)
+        gap = np.abs(est - pf.estimates[1:, 0])
+        frac = np.mean(gap <= 3 * np.maximum(pf.stderr[1:, 0], 1e-12))
+        assert row == [str(seed), repr(float(gap.mean())), repr(float(frac))]
 
 
 @pytest.mark.parametrize(

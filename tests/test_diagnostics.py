@@ -231,7 +231,7 @@ def test_quartic_growth_profile_contracting_drift():
 def test_convergence_sweep_single_value_flagged(linear1d):
     grid = build_grid(1, 6.0, 61)
     res = convergence_sweep(
-        linear1d, grid, 0.2, [0.02], seeds=[0, 1, 2], oracle="kalman", sim_substeps=1
+        linear1d, grid, 0.2, [0.02], seeds=[0, 1, 2], oracle="kalman"
     )
     assert math.isnan(res.slope)
     payload = json.loads(res.summary_json())
@@ -253,7 +253,7 @@ def test_convergence_sweep_linear_decreasing(linear1d):
 
 def test_convergence_sweep_reproducible(linear1d):
     grid = build_grid(1, 6.0, 61)
-    kw = dict(oracle="kalman", sim_substeps=1)
+    kw = dict(oracle="kalman")
     a = convergence_sweep(linear1d, grid, 0.2, [0.04, 0.02], seeds=[3, 4], **kw)
     b = convergence_sweep(linear1d, grid, 0.2, [0.04, 0.02], seeds=[3, 4], **kw)
     assert_array_equal(a.mean_err, b.mean_err)
@@ -287,7 +287,7 @@ def test_convergence_sweep_fine_oracle_runs():
     m = builtin_model("benes")
     grid = build_grid(1, 6.0, 61)
     res = convergence_sweep(
-        m, grid, 0.1, [0.02, 0.01], seeds=[0, 1], oracle="fine_oracle", sim_substeps=1
+        m, grid, 0.1, [0.02, 0.01], seeds=[0, 1], oracle="fine_oracle"
     )
     assert np.all(np.isfinite(res.mean_err))
 
