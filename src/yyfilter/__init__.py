@@ -39,8 +39,6 @@ from .diagnostics import (
     convergence_sweep,
     exp_moment_step_check,
     l4_stability_check,
-    moment,
-    moment_growth_check,
     radius_sweep,
     tail_mass,
 )

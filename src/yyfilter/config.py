@@ -75,6 +75,8 @@ class ConfigError(ValueError):
 def parse_test_function(label: str) -> TestFunction:
     """Resolve labels like x1, x2^2, x1*x3 into test functions."""
     label = label.strip()
+    if label.count("*") > 1:
+        raise ConfigError(f"test function label {label!r} has more than one '*'; use x1*x2, x1^2")
     if "*" in label:
         a, b = label.split("*")
         return coordinate_product(_coord_index(a), _coord_index(b))
@@ -259,6 +261,8 @@ def load_config(path) -> ExperimentConfig:
         )
 
     seed_base = need_int("run", "seed_base", "0")
+    if seed_base < 0:
+        raise ConfigError("field [run] seed_base must be >= 0")
     seed_count = need_int("run", "seeds", "50")
     if seed_count < 1:
         raise ConfigError("field [run] seeds must be >= 1")

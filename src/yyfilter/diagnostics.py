@@ -1,7 +1,6 @@
 """Empirical convergence and regularity checks.
 
-tail_mass / moment            density tail and moment readouts
-moment_growth_check           Gronwall-style growth of unnormalized moments
+tail_mass                     density tail-mass readout
 l4_stability_check            non-explosion of reconstructed pre-update fields
 exp_moment_step_check         one-step quartic-mass amplification law
 quartic_growth_profile        deterministic L4 growth under pure propagation
@@ -58,110 +57,9 @@ def tail_mass(field: DensityField, r: float) -> float:
     return integrate(field, region) / integrate(field)
 
 
-def moment(field: DensityField, order: int) -> float:
-    """Normalized radial moment: integral of |x|^order against the field / mass."""
-    if order < 2 or order % 2:
-        raise ValueError("order must be an even integer >= 2")
-    return integrate(field, field.grid.node_radii**order) / integrate(field)
-
-
 # ---------------------------------------------------------------------------
 # Growth and stability checks.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MomentGrowthReport:
-    order: int
-    exponents: tuple  # implied exponent per dt (coarse, halved)
-    max_log_ratios: tuple
-    finite: bool
-    stable: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.finite and self.stable
-
-
-def _seed_readouts(model, grid, gen, schedules, seeds, substeps, stage, readout):
-    """Per-knot readouts of the filter runs of every seed on each schedule.
-
-    Each seed's path is simulated once, at _PATH_SUBSTEPS on the finest
-    (last) schedule, and subsampled to the others; each schedule takes one
-    batched filter run at `substeps` Crank-Nicolson stages.
-    `readout(field, y_prev)` sees each path's field at each knot at
-    `stage`, with y_prev that path's observation at tau_{k-1}.  Returns one
-    array of shape (seeds, steps, ...) per schedule.
-    """
-    finest = schedules[-1]
-    obs_fine = [ys for _, ys in simulate(model, finest, substeps=_PATH_SUBSTEPS, seed=seeds)]
-    levels = []
-    for sched in schedules:
-        obs = [subsample(o, finest.steps // sched.steps) for o in obs_fine]
-        rows = []
-
-        def hook(k, s, fld):
-            if s == stage:
-                rows.append([readout(f, o.values[k - 1]) for f, o in zip(fld.columns(), obs)])
-
-        run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
-                   field_hook=hook)
-        levels.append(np.swapaxes(np.array(rows), 0, 1))
-    return levels
-
-
-def _unnormalized_log_moment(field: DensityField, weight_nodes: np.ndarray) -> float:
-    val = integrate(field, weight_nodes)
-    if val <= 0:
-        return -math.inf
-    return math.log(val) + field.log_scale
-
-
-def moment_growth_check(
-    model: FilterModel,
-    grid: Grid,
-    schedule: TimeSchedule,
-    obs_seeds: Sequence[int],
-    order: int,
-    substeps: int = DEFAULT_SUBSTEPS,
-) -> MomentGrowthReport:
-    """Growth of the unnormalized moment of (1 + |x|^order) along filter runs.
-
-    Runs the filter per seed at dt and dt/2 against the same refined
-    observation paths, averages the represented (log-scale-aware) moment
-    over seeds per knot, and reports the implied growth exponent
-    log(max ratio)/T for each dt.  Passes when the ratios are finite and
-    the exponents agree within 20% under dt-halving.
-    """
-    if len(obs_seeds) < 10:
-        raise ValueError("need at least 10 seeds")
-    if order < 2 or order % 2:
-        raise ValueError("order must be an even integer >= 2")
-    weight_nodes = 1.0 + grid.node_radii**order
-    gen = assemble_generator(model, grid)
-    init = discretize_initial(model, grid)
-    log_init = _unnormalized_log_moment(init, weight_nodes)
-    fine = schedule.refined(2)
-
-    levels = _seed_readouts(model, grid, gen, (schedule, fine), obs_seeds, substeps, "updated",
-                            lambda fld, _: _unnormalized_log_moment(fld, weight_nodes))
-    log_ratios = [  # per level, the largest over knots of the log of the seed mean
-        float(np.max(logsumexp(logs, axis=0))) - math.log(len(obs_seeds)) - log_init
-        for logs in levels  # (seeds, steps)
-    ]
-
-    T = schedule.terminal
-    exponents = tuple(lr / T for lr in log_ratios)
-    finite = all(math.isfinite(lr) for lr in log_ratios)
-    scale = max(abs(exponents[0]), abs(exponents[1]), 1e-6)
-    stable = finite and abs(exponents[0] - exponents[1]) <= 0.2 * scale
-    return MomentGrowthReport(
-        order=order,
-        exponents=exponents,
-        max_log_ratios=tuple(log_ratios),
-        finite=finite,
-        stable=stable,
-    )
 
 
 @dataclass
@@ -210,7 +108,9 @@ def l4_stability_check(
     transform via exp(-h^T Y_{tau_{k-1}}) and its log scale, is the
     object whose L2 and L4 norms must stay bounded as dt shrinks.
     Passes when the sup over knots of the seed-averaged norms varies by
-    less than 20% across the dt levels.
+    less than 20% across the dt levels.  Each seed's path is simulated
+    once, at _PATH_SUBSTEPS on the finest (last) schedule, and subsampled
+    to the others; each schedule takes one batched filter run.
     """
     if len(schedules) < 2:
         raise ValueError("need at least 2 schedules related by dt-halving")
@@ -223,11 +123,22 @@ def l4_stability_check(
         raise ValueError("need at least 10 seeds")
 
     gen = assemble_generator(model, grid)
-    levels = _seed_readouts(model, grid, gen, schedules, obs_seeds, substeps, "propagated",
-                            lambda fld, y: _reconstructed_log_norms(fld, gen.observation, y))
+    finest = schedules[-1]
+    obs_fine = [ys for _, ys in simulate(model, finest, substeps=_PATH_SUBSTEPS, seed=obs_seeds)]
     sup_l2, sup_l4 = [], []
-    for norms in levels:  # (seeds, steps, 2): the largest over knots of the seed means
-        l2, l4 = np.max(logsumexp(norms, axis=0), axis=0) - math.log(len(obs_seeds))
+    for sched in schedules:
+        obs = [subsample(o, finest.steps // sched.steps) for o in obs_fine]
+        norms = []  # per knot, per seed: the log norms of the pre-update field
+
+        def hook(k, stage, fld):
+            if stage == "propagated":
+                norms.append([_reconstructed_log_norms(f, gen.observation, o.values[k - 1])
+                              for f, o in zip(fld.columns(), obs)])
+
+        run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
+                   field_hook=hook)
+        # (steps, seeds, 2): the largest over knots of the seed means
+        l2, l4 = np.max(logsumexp(np.array(norms), axis=1), axis=0) - math.log(len(obs_seeds))
         sup_l2.append(math.exp(l2))
         sup_l4.append(math.exp(l4))
 
@@ -389,7 +300,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray):
 
 # The oracle and the simulated paths run at the finest swept dt divided by this.
 _ORACLE_REFINE = 4
-# Euler substeps per knot of every path the sweeps and growth checks simulate,
+# Euler substeps per knot of every path the sweeps and the L4 check simulate,
 # whatever their Crank-Nicolson `substeps`.
 _PATH_SUBSTEPS = 2
 

@@ -220,10 +220,6 @@ class TimeSchedule:
         out[-1] = self.terminal  # index multiplication can misround the endpoint
         return out
 
-    def refined(self, factor: int) -> "TimeSchedule":
-        """Same horizon with `factor` times as many steps."""
-        return TimeSchedule(self.terminal, self.steps * factor)
-
 
 # ---------------------------------------------------------------------------
 # Built-in benchmark registry.  Coefficient callbacks are module-level

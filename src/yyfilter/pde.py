@@ -37,7 +37,6 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .models import FilterModel
-from .tables import csv_table
 
 
 class AssemblyError(ValueError):
@@ -66,10 +65,6 @@ class Grid:
     boundary_mask: np.ndarray
     trap_weights: np.ndarray
     node_radii: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return (self.points_per_axis,) * self.dim
 
     @property
     def n_nodes(self) -> int:
@@ -164,13 +159,6 @@ class DensityField:
             DensityField(self.grid, v, float(ls), float(cm))
             for v, ls, cm in zip(rows, self.log_scale, self.clamped_mass)
         ]
-
-    def to_csv(self) -> str:
-        return csv_table(
-            [*(f"x_{i + 1}" for i in range(self.grid.dim)), "value"],
-            [*self.grid.coords.T, self.values],
-            comment=f"log_scale={float(self.log_scale)!r}",
-        )
 
 
 def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:

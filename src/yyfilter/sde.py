@@ -136,14 +136,3 @@ def paths_to_csv(state: StatePath, obs: ObservationPath) -> str:
         [state.schedule.knots, *state.values.T, *obs.values.T],
     )
 
-
-def paths_from_csv(text: str) -> tuple[StatePath, ObservationPath]:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    d = (len(lines[0].split(",")) - 1) // 2
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    K = data.shape[0] - 1
-    schedule = TimeSchedule(float(data[-1, 0]), K)
-    return (
-        StatePath(schedule, data[:, 1 : 1 + d]),
-        ObservationPath(schedule, data[:, 1 + d : 1 + 2 * d]),
-    )

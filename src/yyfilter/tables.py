@@ -7,21 +7,17 @@ nothing from the package, so every module can write tables through it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 
-def csv_table(
-    header: Sequence[str], columns: Sequence[Sequence], comment: Optional[str] = None
-) -> str:
+def csv_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """CSV text with one row per index of the equal-length `columns`.
 
     A str cell is written as given; every other cell as repr(float(cell)).
-    `comment`, if given, becomes a leading '# ' line.
     """
     if len(columns) != len(header) or len({len(col) for col in columns}) > 1:
         raise ValueError("csv_table needs one column per header name, all of equal length")
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(header))
+    lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(c if isinstance(c, str) else repr(float(c)) for c in row))
     return "\n".join(lines) + "\n"

@@ -193,10 +193,12 @@ def _crossval_cell(args):
 
 def test_c5_nonlinear_cross_validation(monkeypatch):
     cells = [("benes", 4, s) for s in SEEDS_20] + [("cubic_sensor", 8, s) for s in SEEDS_20]
-    # Two processes pay only with one BLAS thread each: on 2 vCPUs the cubic half
-    # took 51 s that way, 101 s in one process, and 135 s when each worker also
-    # ran two OpenBLAS threads. Spawned workers load numpy afresh, so they read
-    # the thread count set here.
+    # On 2 vCPUs, with the PF drawing its normals on a worker thread, 8 cells
+    # took 28.0 and 28.4 s in two processes against 35.6 and 31.3 s in one.
+    # Each worker gets one OpenBLAS thread: measured before that thread, two
+    # per worker made the pool slower than one process (135 s against 101 s
+    # for the cubic half). Spawned workers load numpy afresh, so they read the
+    # thread count set here.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         results = list(pool.map(_crossval_cell, cells))

@@ -333,6 +333,7 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("sweep", "values = 0.02, 0", "[sweep] values"),
         ("sweep", "values = -0.01", "[sweep] values"),
         ("run", "seed_base = 0.5", "[run] seed_base"),
+        ("run", "seed_base = -3", "[run] seed_base"),
         ("run", "seeds = inf", "[run] seeds"),
         ("sweep", "values = 0.02, inf", "[sweep] values"),
         ("grid", "radius = inf", "[grid] radius"),
@@ -348,6 +349,8 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("filter", "test_functions = x3", "[filter] test_functions"),
         ("filter", "test_functions = x1, x1*x2", "[filter] test_functions"),
         ("filter", "test_functions = x0", "[filter] test_functions"),
+        ("filter", "test_functions = x1*x1*x1", "[filter] test_functions"),
+        ("filter", "test_functions = x1**2", "[filter] test_functions"),
         # the particle dt-sweep oracle is gone; the fine grid is no baseline
         ("sweep", "oracle = bootstrap_pf", "[sweep] oracle"),
         ("baseline", "method = fine_oracle", "[baseline] method"),

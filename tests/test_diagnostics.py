@@ -12,21 +12,11 @@ from yyfilter.diagnostics import (
     convergence_sweep,
     exp_moment_step_check,
     l4_stability_check,
-    moment,
-    moment_growth_check,
     quartic_growth_profile,
     radius_sweep,
     tail_mass,
 )
-from yyfilter.models import (
-    AssumptionProfile,
-    FilterModel,
-    TimeSchedule,
-    builtin_model,
-    coordinate,
-    _std_normal_density,
-    _unit_diffusion,
-)
+from yyfilter.models import TimeSchedule, builtin_model
 from yyfilter.pde import DensityField, build_grid, discretize_initial
 
 
@@ -39,7 +29,7 @@ def _const_half_obs(points):
 
 
 # ---------------------------------------------------------------------------
-# tail_mass and moment
+# tail_mass
 # ---------------------------------------------------------------------------
 
 
@@ -69,68 +59,9 @@ def test_tail_mass_probe_validation(grid_1d_fine):
         tail_mass(field, 0.0)
 
 
-def test_moment_point_mass(grid_1d_fine):
-    vals = np.zeros(grid_1d_fine.n_nodes)
-    vals[grid_1d_fine.n_nodes // 2] = 1.0  # the origin node
-    assert moment(DensityField(grid_1d_fine, vals), 2) == 0.0
-
-
-def test_moment_uniform_third():
-    g = build_grid(1, 1.0, 2001)
-    field = DensityField(g, np.ones(g.n_nodes))
-    assert moment(field, 2) == pytest.approx(1.0 / 3.0, abs=1e-5)
-
-
-def test_moment_standard_normal(linear1d, grid_1d_fine):
-    field = discretize_initial(linear1d, grid_1d_fine)
-    assert moment(field, 2) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_moment_validation(grid_1d_fine):
-    field = DensityField(grid_1d_fine, np.ones(grid_1d_fine.n_nodes))
-    with pytest.raises(ValueError):
-        moment(field, 3)
-
-
 # ---------------------------------------------------------------------------
-# moment growth / L4 stability
+# L4 stability
 # ---------------------------------------------------------------------------
-
-
-PURE_DIFFUSION = FilterModel(
-    name="pure_diffusion",
-    dim=1,
-    drift=_zero_vec,
-    diffusion=_unit_diffusion,
-    observation=_zero_vec,
-    initial_density=_std_normal_density,
-    assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
-)
-
-
-def test_moment_growth_pure_diffusion_passes():
-    grid = build_grid(1, 8.0, 161)
-    schedule = TimeSchedule(0.5, 10)
-    report = moment_growth_check(PURE_DIFFUSION, grid, schedule, list(range(10)), order=2)
-    assert report.passed
-    # second moment of the heat flow adds t: ratio (2 + T) / 2 at T = 0.5
-    expected = math.log((2 + 0.5) / 2) / 0.5
-    assert report.exponents[1] == pytest.approx(expected, rel=0.05)
-
-
-def test_moment_growth_linear1d_finite():
-    m = builtin_model("linear1d")
-    grid = build_grid(1, 6.0, 121)
-    schedule = TimeSchedule(0.25, 10)
-    report = moment_growth_check(m, grid, schedule, list(range(12)), order=2)
-    assert report.finite
-    assert report.passed
-
-
-def test_moment_growth_needs_seeds():
-    grid = build_grid(1, 6.0, 61)
-    with pytest.raises(ValueError):
-        moment_growth_check(PURE_DIFFUSION, grid, TimeSchedule(0.1, 2), [1, 2], 2)
 
 
 def test_l4_stability_linear1d():

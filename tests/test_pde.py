@@ -775,13 +775,3 @@ def test_integrate_gaussian_second_moment(linear1d, grid_1d_fine):
     field = discretize_initial(linear1d, grid_1d_fine)
     val = integrate(field, squared_coordinate(0)(grid_1d_fine.coords))
     assert val == pytest.approx(1.0, abs=1e-4)
-
-
-def test_density_field_csv_header(linear1d):
-    g = build_grid(1, 6.0, 11)
-    field = DensityField(g, np.ones(11), log_scale=1.5)
-    text = field.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "# log_scale=1.5"
-    assert lines[1] == "x_1,value"
-    assert len(lines) == 2 + 11

@@ -17,8 +17,6 @@ from yyfilter.sde import (
     ObservationPath,
     StatePath,
     observation_increments,
-    paths_from_csv,
-    paths_to_csv,
     simulate,
     subsample,
 )
@@ -191,15 +189,6 @@ def test_nonfinite_state_raises():
 
     with pytest.raises(SimulationError, match="knot"):
         simulate(m, TimeSchedule(1.0, 5), seed=0)
-
-
-def test_csv_roundtrip(linear1d):
-    xs, ys = simulate(linear1d, TimeSchedule(1.0, 7), seed=9)
-    text = paths_to_csv(xs, ys)
-    assert text.splitlines()[0] == "t,X_1,Y_1"
-    xs2, ys2 = paths_from_csv(text)
-    assert_allclose(xs2.values, xs.values)
-    assert_allclose(ys2.values, ys.values)
 
 
 def test_subsample_stride(linear1d):

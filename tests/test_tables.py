@@ -25,28 +25,6 @@ def _filter_table():
     }
 
 
-def _density_table():
-    # A field seen through the hook after renormalization carries a numpy
-    # log_scale; its comment line must still hold a plain number.
-    model = builtin_model("linearNd")
-    schedule = TimeSchedule(0.04, 4)
-    _, obs = simulate(model, schedule, seed=1)
-    seen = []
-    run_filter(model, build_grid(2, 4.0, 41), schedule, obs, (),
-               field_hook=lambda k, stage, f: seen.append(f))
-    field = seen[-2]
-    assert field.log_scale != 0.0
-    text = field.to_csv()
-    first, rest = text.split("\n", 1)
-    assert first.startswith("# log_scale=")
-    assert float(first.removeprefix("# log_scale=")) == field.log_scale
-    return rest, {
-        "x_1": field.grid.coords[:, 0],
-        "x_2": field.grid.coords[:, 1],
-        "value": field.values,
-    }
-
-
 def _kalman_table():
     model = builtin_model("linearNd")
     schedule = TimeSchedule(0.2, 8)
@@ -104,7 +82,7 @@ def _sweep_table():
 
 @pytest.mark.parametrize(
     "table",
-    [_filter_table, _density_table, _kalman_table, _particle_table, _paths_table, _sweep_table],
+    [_filter_table, _kalman_table, _particle_table, _paths_table, _sweep_table],
 )
 def test_every_table_round_trips_exactly(table):
     text, expected = table()
@@ -121,9 +99,7 @@ def test_every_table_round_trips_exactly(table):
 
 
 def test_csv_table_writes_str_cells_as_given_and_refuses_ragged_columns():
-    assert csv_table(["k", "v"], [["1", "2"], [0.1, np.float64(3)]], comment="c") == (
-        "# c\nk,v\n1,0.1\n2,3.0\n"
-    )
+    assert csv_table(["k", "v"], [["1", "2"], [0.1, np.float64(3)]]) == "k,v\n1,0.1\n2,3.0\n"
     with pytest.raises(ValueError):
         csv_table(["a", "b"], [[1.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
