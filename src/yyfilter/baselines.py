@@ -206,9 +206,23 @@ class _NormalStream:
         return u
 
 
-def _euler_step(model: FilterModel, x: np.ndarray, dt: float, z: np.ndarray) -> np.ndarray:
-    g = model.diffusion(x)
-    return x + model.drift(x) * dt + np.einsum("nij,nj->ni", g, z) * np.sqrt(dt)
+def _euler_step(model: FilterModel, dt: float):
+    """The Euler-Maruyama step (x, z) -> x + f(x) dt + g z sqrt(dt) of (n, d) particles x
+    driven by standard normals z, which it may overwrite; it returns a fresh array."""
+    sq, g = np.sqrt(dt), model.diffusion_matrix
+    unit = g is not None and np.array_equal(g, np.eye(model.dim))
+
+    def step(x, z):
+        if g is None:
+            return x + model.drift(x) * dt + np.einsum("nij,nj->ni", model.diffusion(x), z) * sq
+        out = model.drift(x) * dt
+        out += x
+        z = z if unit else z @ g.T
+        z *= sq
+        out += z
+        return out
+
+    return step
 
 
 class _KnotRecord:
@@ -283,6 +297,7 @@ def ks_monte_carlo(
     record = _KnotRecord(schedule, test_functions, n_particles)
 
     record(0, logw, x)
+    euler_step = _euler_step(model, dt)
     with _NormalStream(rng, (n_particles, model.dim), K * substeps) as normals:
         for k in range(1, K + 1):
             dy_sub = dys[k - 1] / substeps  # piecewise-linear Y within the interval
@@ -290,7 +305,7 @@ def ks_monte_carlo(
                 hdy, half_sq = record.log_likelihood_terms(model.observation(x), dy_sub, dt)
                 hdy -= half_sq
                 logw += hdy
-                x = _euler_step(model, x, dt, normals.next())
+                x = euler_step(x, normals.next())
             record(k, logw, x)
     if record.ess.min() < 10:
         log.warning(
@@ -330,11 +345,12 @@ def bootstrap_pf(
     logw = np.zeros(n_particles)
     dys = observation_increments(obs, schedule)
     record = _KnotRecord(schedule, test_functions, n_particles)
+    euler_step = _euler_step(model, dt)
 
     with _NormalStream(rng, (n_particles, model.dim), K) as normals:
         for k in range(K + 1):
             if k > 0:
-                x = _euler_step(model, x, dt, normals.next())
+                x = euler_step(x, normals.next())
                 hdy, half_sq = record.log_likelihood_terms(model.observation(x), dys[k - 1], dt)
                 logw += hdy
                 logw -= half_sq

@@ -217,7 +217,11 @@ def load_config(path) -> ExperimentConfig:
         for s in _get(parser, "filter", "test_functions", "x1").split(",")
         if s.strip()
     )
+    if not labels:
+        raise ConfigError("field [filter] test_functions names no test function")
     for lb in labels:
+        if labels.count(lb) > 1:
+            raise ConfigError(f"field [filter] test_functions names {lb!r} twice")
         try:
             parse_test_function(lb)
         except ConfigError as exc:

@@ -17,6 +17,12 @@ points and return ``(n, d)`` (drift, observation), ``(n, d, d)``
 (diffusion), or ``(n,)`` (initial density).  Callbacks must be pure and,
 implicitly, twice continuously differentiable — the grid engine applies
 second-order finite differences to them and this is assumed, not checked.
+
+A constant diffusion is declared once instead, as one ``(d, d)`` matrix g
+in ``diffusion_matrix``: assembly, path simulation and the particle
+oracles then read that matrix and call no diffusion callback.  Every
+registry model declares g = I this way; a state-dependent g(x) stays a
+callback.
 """
 
 from __future__ import annotations
@@ -86,34 +92,64 @@ class LinearSystem:
     prior_cov: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterModel:
     """Coefficient bundle defining one filtering system.
 
     Immutable after construction and safe to share across workers; the
-    callbacks must be pure.  ``diffusion_sq`` recomputes a = g g^T on
-    demand (grid code evaluates it once per node set and keeps the
-    result, so no callback-level cache is needed).
+    callbacks must be pure.  A model equals only itself and hashes by
+    identity, since its array fields have no single truth value.  The diffusion is either the callback g(x),
+    `diffusion`, or a constant g declared as `diffusion_matrix`, a finite
+    (d, d) array kept as a read-only copy.  When the matrix is declared,
+    `diffusion` is never called and may be None.  ``diffusion_sq``
+    recomputes a = g g^T on demand (grid code evaluates it once per node
+    set and keeps the result, so no callback-level cache is needed).
     """
 
     name: str
     dim: int
     drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    diffusion: Optional[Callable[[np.ndarray], np.ndarray]]
     observation: Callable[[np.ndarray], np.ndarray]
     initial_density: Callable[[np.ndarray], np.ndarray]
     assumptions: AssumptionProfile
     initial_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     linear: Optional[LinearSystem] = None
     sample_radius: float = 8.0
+    diffusion_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
             raise ValueError("only dimensions 1..3 are supported by the dense-grid path")
+        if self.diffusion_matrix is None:
+            if self.diffusion is None:
+                raise ValueError("a model needs a diffusion callback or a diffusion_matrix")
+            return
+        g = np.array(self.diffusion_matrix, dtype=float)
+        if g.shape != (self.dim, self.dim):
+            raise ValueError(f"diffusion_matrix must have shape ({self.dim}, {self.dim}), "
+                             f"not {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("diffusion_matrix has a non-finite entry")
+        g.flags.writeable = False
+        object.__setattr__(self, "diffusion_matrix", g)
+
+    @property
+    def constant_diffusion_sq(self) -> Optional[np.ndarray]:
+        """a = g g^T of a declared `diffusion_matrix`, (d, d); None when g varies with x."""
+        g = self.diffusion_matrix
+        return None if g is None else g @ g.T
 
     def diffusion_sq(self, points: np.ndarray) -> np.ndarray:
-        """a(x) = g(x) g(x)^T evaluated at a batch of points."""
-        g = self.diffusion(as_points(points))
+        """a(x) = g(x) g(x)^T evaluated at a batch of points, (n, d, d).
+
+        A declared `diffusion_matrix` gives its one a, broadcast read-only over the batch.
+        """
+        points = as_points(points)
+        a = self.constant_diffusion_sq
+        if a is not None:
+            return np.broadcast_to(a, (len(points), self.dim, self.dim))
+        g = self.diffusion(points)
         return np.einsum("nij,nkj->nik", g, g)
 
     def sample_initial(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -235,17 +271,6 @@ def _tanh_drift(points):
     return np.tanh(points)
 
 
-_EYES: dict = {}  # read-only identity per dimension, never handed out
-
-
-def _unit_diffusion(points):
-    n, d = points.shape
-    if d not in _EYES:
-        _EYES[d] = np.eye(d)[None]
-        _EYES[d].flags.writeable = False
-    return np.repeat(_EYES[d], n, axis=0)  # a fresh writeable copy
-
-
 def _identity_obs(points):
     return np.array(points, dtype=float)
 
@@ -272,7 +297,7 @@ def _unit_ou(d):
 
 
 # name -> (drift, observation, linear system at dim d or None).  Every model has
-# unit diffusion and a N(0, I) prior; linearNd is the linear1d row at dim 2 or 3.
+# diffusion_matrix = I and a N(0, I) prior; linearNd is the linear1d row at dim 2 or 3.
 # The cubic sensor's x^3 is its observation, not a test function, so the growth
 # envelope for phi stays at order 2.
 _REGISTRY = {
@@ -309,7 +334,7 @@ def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
         name=name,
         dim=d,
         drift=drift,
-        diffusion=_unit_diffusion,
+        diffusion=None,
         observation=observation,
         initial_density=_std_normal_density,
         assumptions=AssumptionProfile(
@@ -317,6 +342,7 @@ def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
         ),
         initial_sampler=partial(_std_normal_sampler, d=d),
         linear=None if linear is None else linear(d),
+        diffusion_matrix=np.eye(d),
     )
 
 
@@ -419,11 +445,10 @@ def validate_assumptions(
         )
     )
 
-    a = _require_finite(model.diffusion_sq(x), "diffusion_sq", x)
-    if d == 1:
-        eig_min = float(np.min(a[:, 0, 0]))
-    else:
-        eig_min = float(np.min(np.linalg.eigvalsh(a)[:, 0]))
+    a = model.constant_diffusion_sq  # (d, d), or one a per sample below
+    if a is None:
+        a = _require_finite(model.diffusion_sq(x), "diffusion_sq", x)
+    eig_min = float(np.min(a[..., 0, 0] if d == 1 else np.linalg.eigvalsh(a)[..., 0]))
     checks.append(
         AssumptionCheck(
             "A2 ellipticity",

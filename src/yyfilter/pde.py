@@ -11,7 +11,8 @@ with second-order central differences in conservative form: derivatives
 act on the products a^ij u and f_i u, evaluated at the source node of
 each stencil entry; only nonzero couplings are stored (under a diagonal
 diffusion, 7 of the 19 stencil entries of a 3D interior row), and h is
-kept at the nodes for the exponential update.  Time stepping is
+kept at the nodes for the exponential update.  A model that declares a
+constant diffusion matrix has a read once, not per node.  Time stepping is
 Crank-Nicolson, one stage loop for every dimension, one solve per stage:
 (I - c A)^{-1} (I + c A) v = 2 y - v with (I - c A) y = v (implicit midpoint).
 I - c A depends only on the generator and on c = dt / (2 substeps), so it is
@@ -207,55 +208,62 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
     The canonical CSR result stores only the nonzero stencil couplings:
     7 of a 3D interior row's 19 under a diagonal diffusion.  Refuses
     assembly if the diffusion matrix a = g g^T is degenerate (smallest
-    eigenvalue <= 1e-14) at any node.
+    eigenvalue <= 1e-14) at any node, or, for a declared constant
+    `diffusion_matrix`, once.
     """
     d = grid.dim
     M = grid.points_per_axis
     N = grid.n_nodes
     dx = grid.spacing
 
-    a = model.diffusion_sq(grid.coords)  # (N, d, d)
+    a = model.constant_diffusion_sq  # (d, d) when g is constant
+    const = a is not None
+    if not const:
+        a = model.diffusion_sq(grid.coords)  # (N, d, d)
     f = np.asarray(model.drift(grid.coords), dtype=float)  # (N, d)
     h = np.asarray(model.observation(grid.coords), dtype=float)  # (N, d)
-    if d == 1:
-        eig_min = a[:, 0, 0]
-    else:
-        eig_min = np.linalg.eigvalsh(a)[:, 0]
+    eig_min = np.atleast_1d(a[..., 0, 0] if d == 1 else np.linalg.eigvalsh(a)[..., 0])
     bad = np.where(eig_min <= 1e-14)[0]
     if bad.size:
-        node = grid.coords[bad[0]]
+        where = "for the declared diffusion_matrix" if const else f"at node {grid.coords[bad[0]]}"
         raise AssemblyError(
-            f"diffusion matrix is degenerate at node {node} "
+            f"diffusion matrix is degenerate {where} "
             f"(min eigenvalue {eig_min[bad[0]]:.3g}); assembly refused"
         )
 
+    def a_at(nodes, i, j):  # a^ij at the nodes, one scalar when a is constant
+        return a[i, j] if const else a[nodes, i, j]
+
+    def coupled(e):  # at most two nonzeros, and two only on axes whose a^ij is nonzero somewhere
+        axes = np.flatnonzero(e)
+        return axes.size < 2 or (axes.size == 2 and np.any(a[..., axes[0], axes[1]] != 0.0))
+
     strides = np.array([M**k for k in range(d - 1, -1, -1)], dtype=np.int64)
     interior = np.where(grid.interior_mask)[0]
-    a_diag = a[:, np.arange(d), np.arange(d)]  # (N, d)
+    a_diag = a[..., np.arange(d), np.arange(d)]  # (d,) or (N, d)
 
-    # Every interior row has the same stencil: the offsets e in {-1, 0, 1}^d
-    # with at most two nonzeros.  In lexicographic order their columns
-    # interior + strides . e ascend (M >= 3), so each entry fills one
-    # column of an (n_interior, n_stencil) block of canonical CSR rows.
-    offsets = itertools.product((-1, 0, 1), repeat=d)
-    stencil = np.array([e for e in offsets if np.count_nonzero(e) <= 2])  # (n_stencil, d)
+    # Every interior row has the same stencil: the coupled offsets e in
+    # {-1, 0, 1}^d.  In lexicographic order their columns interior + strides . e
+    # ascend (M >= 3), so each entry fills one column of an
+    # (n_interior, n_stencil) block of canonical CSR rows.
+    stencil = np.array([e for e in itertools.product((-1, 0, 1), repeat=d) if coupled(e)])
     data = np.empty((interior.size, len(stencil)))
     for k, e in enumerate(stencil):
         nb = interior + strides @ e
         axes = np.flatnonzero(e)
         if axes.size == 0:
             # Diagonal: -sum_i a^ii(x)/dx^2 - |h(x)|^2/2.
-            diag = -np.sum(a_diag[interior], axis=1) / dx**2
+            diag = -np.sum(a_diag if const else a_diag[interior], axis=-1) / dx**2
             data[:, k] = diag - 0.5 * np.sum(h[interior] ** 2, axis=1)
         elif axes.size == 1:
             # Axis neighbors: second-difference of a^ii u plus central drift flux.
             (ax,) = axes
-            data[:, k] = a[nb, ax, ax] / (2 * dx**2) - e[ax] * f[nb, ax] / (2 * dx)
+            data[:, k] = a_at(nb, ax, ax) / (2 * dx**2) - e[ax] * f[nb, ax] / (2 * dx)
         else:
             # Cross terms i < j: full-weight mixed second difference of a^ij u
             # (the 1/2 prefactor cancels against the symmetric (j, i) term).
             i, j = axes
-            data[:, k] = e[i] * e[j] * a[nb, i, j] / (4 * dx**2)
+            data[:, k] = e[i] * e[j] * a_at(nb, i, j) / (4 * dx**2)
 
     # A coefficient that is exactly 0.0, such as every mixed difference of a
     # diagonal diffusion, is not stored.  Boundary rows stay empty.

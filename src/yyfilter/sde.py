@@ -3,7 +3,9 @@
 Paths are recorded on the knots of a TimeSchedule; integration runs on a
 finer internal mesh of `substeps` sub-intervals per knot interval, and
 the observation integral of h is accumulated at that fine resolution so
-coarse recording does not bias it.  All randomness comes from a
+coarse recording does not bias it.  The Euler loop carries the state
+alone; h is evaluated once over every fine state after it, and Y is one
+sequential cumulative sum.  All randomness comes from a
 counter-based Philox stream keyed by the seed, with every increment for
 a path drawn in a single upfront call, so identical inputs give
 bit-identical paths regardless of execution order or of the other seeds
@@ -62,9 +64,11 @@ def simulate(
     """Simulate one (state, observation) pair on the schedule.
 
     X_0 is drawn from the model's initial sampler; X advances by
-    Euler-Maruyama on dt/substeps; Y accumulates h(X) dt plus Brownian
-    increments at the fine resolution and is recorded at knots.  Given a
-    sequence of seeds, the S states advance together as one (S, d) array
+    Euler-Maruyama on dt/substeps, its noise g dV formed before the loop
+    when the model declares a constant diffusion matrix; Y accumulates
+    h(X) dt plus Brownian increments at the fine resolution, in the order
+    (Y + h dt) + dW of one step at a time, and is recorded at knots.  Given
+    a sequence of seeds, the S states advance together as one (S, d) array
     and the result is one (StatePath, ObservationPath) pair per seed, each
     bit-identical to simulating that seed alone.
     """
@@ -78,32 +82,41 @@ def simulate(
     dt = schedule.dt / substeps
     sq = np.sqrt(dt)
 
-    x = np.empty((len(seeds), d))
-    dv = np.empty((n, len(seeds), d))
-    dw = np.empty((n, len(seeds), d))
+    S = len(seeds)
+    traj = np.empty((n + 1, S, d))  # the state at every fine time
+    dv = np.empty((n, S, d))
+    dw = np.empty((n, S, d))
     for s, sd in enumerate(seeds):
         rng = _rng_for(sd)
-        x[s] = model.sample_initial(rng, 1)[0]
+        traj[0, s] = model.sample_initial(rng, 1)[0]
         dv[:, s] = rng.standard_normal((n, d)) * sq
         dw[:, s] = rng.standard_normal((n, d)) * sq
 
-    xs = np.empty((len(seeds), K + 1, d))
-    ys = np.zeros((len(seeds), K + 1, d))
-    xs[:, 0] = x
-    y = np.zeros_like(x)
+    g = model.diffusion_matrix
+    if g is not None and not np.array_equal(g, np.eye(d)):
+        dv = dv @ g.T  # the noise g dV of every step, formed once
     step = 0
     for k in range(1, K + 1):
         for _ in range(substeps):
-            y = y + model.observation(x) * dt + dw[step]
-            x = x + model.drift(x) * dt + (model.diffusion(x) @ dv[step, :, :, None])[..., 0]
+            x = traj[step]
+            noise = dv[step] if g is not None else (model.diffusion(x) @ dv[step, :, :, None])[..., 0]
+            traj[step + 1] = x + model.drift(x) * dt + noise
             step += 1
+        x = traj[step]
         if not np.isfinite(x).all():
             where = "" if single else f", seed {seeds[np.isfinite(x).all(axis=1).argmin()]}"
             raise SimulationError(
                 f"state became non-finite at knot {k} (t={k * schedule.dt:g}{where})"
             )
-        xs[:, k] = x
-        ys[:, k] = y
+
+    # Y after fine step i is the running sum of h(X_0) dt, dW_0, ..., h(X_i) dt, dW_i.
+    terms = np.empty((n, 2, S, d))
+    terms[:, 0] = np.reshape(model.observation(traj[:-1].reshape(n * S, d)), (n, S, d)) * dt
+    terms[:, 1] = dw
+    y = np.cumsum(terms.reshape(2 * n, S, d), axis=0)[2 * substeps - 1 :: 2 * substeps]
+    ys = np.zeros((S, K + 1, d))
+    ys[:, 1:] = y.transpose(1, 0, 2)
+    xs = np.ascontiguousarray(traj[::substeps].transpose(1, 0, 2))
     pairs = [(StatePath(schedule, xv), ObservationPath(schedule, yv)) for xv, yv in zip(xs, ys)]
     return pairs[0] if single else pairs
 

@@ -21,7 +21,6 @@ from yyfilter.diagnostics import (
     l4_stability_check,
     quartic_growth_profile,
     radius_sweep,
-    tail_mass,
 )
 from yyfilter.filtering import estimate, run_filter
 from yyfilter.models import (
@@ -330,16 +329,16 @@ def test_c9_stencil_refinement_ratio():
 
 def test_c9_heat_kernel_accuracy():
     from yyfilter.models import AssumptionProfile, FilterModel
-    from yyfilter.models import _unit_diffusion
 
     m = FilterModel(
         name="heat",
         dim=1,
         drift=_zero_obs,
-        diffusion=_unit_diffusion,
+        diffusion=None,
         observation=_zero_obs,
         initial_density=_std_normal_density,
         assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
+        diffusion_matrix=np.eye(1),
     )
     grid = build_grid(1, 6.0, 241)
     gen = assemble_generator(m, grid)

@@ -29,7 +29,6 @@ from yyfilter.models import (
     builtin_model,
     coordinate,
     _std_normal_density,
-    _unit_diffusion,
 )
 from yyfilter.pde import build_grid
 from yyfilter.sde import PATH_SUBSTEPS, ObservationPath, _rng_for, observation_increments, simulate
@@ -337,6 +336,13 @@ def _ref_systematic_resample(weights, rng):
     return np.searchsorted(np.cumsum(weights), positions)
 
 
+def _g_at(model, x):
+    """g at each particle: the callback's (n, d, d) stack, or the declared matrix repeated."""
+    if model.diffusion_matrix is None:
+        return model.diffusion(x)
+    return np.broadcast_to(model.diffusion_matrix, (len(x), model.dim, model.dim))
+
+
 def _ref_bootstrap_pf(model, schedule, obs, test_functions, n_particles, seed=0):
     d = model.dim
     K = schedule.steps
@@ -354,7 +360,7 @@ def _ref_bootstrap_pf(model, schedule, obs, test_functions, n_particles, seed=0)
     sq = np.sqrt(dt)
     for k in range(K + 1):
         if k > 0:
-            g = model.diffusion(x)
+            g = _g_at(model, x)
             x = x + model.drift(x) * dt + np.einsum(
                 "nij,nj->ni", g, rng.standard_normal((n_particles, d))
             ) * sq
@@ -398,7 +404,7 @@ def _ref_ks_monte_carlo(model, schedule, obs, test_functions, n_particles, subst
         for _ in range(substeps):
             h = model.observation(x)
             logw += h @ dy_sub - 0.5 * np.sum(h**2, axis=1) * dt
-            g = model.diffusion(x)
+            g = _g_at(model, x)
             x = x + model.drift(x) * dt + np.einsum(
                 "nij,nj->ni", g, rng.standard_normal((n_particles, d))
             ) * sq

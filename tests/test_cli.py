@@ -351,6 +351,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("filter", "test_functions = x0", "[filter] test_functions"),
         ("filter", "test_functions = x1*x1*x1", "[filter] test_functions"),
         ("filter", "test_functions = x1**2", "[filter] test_functions"),
+        # no label, and a repeated one: no estimate column, or two with one header
+        ("filter", "test_functions =", "[filter] test_functions"),
+        ("filter", "test_functions = x1, x1", "[filter] test_functions"),
         # the particle dt-sweep oracle is gone; the fine grid is no baseline
         ("sweep", "oracle = bootstrap_pf", "[sweep] oracle"),
         ("baseline", "method = fine_oracle", "[baseline] method"),

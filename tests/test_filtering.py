@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
-from yyfilter.filtering import FilterOutput, MassCollapseError, estimate, run_filter
+from yyfilter.filtering import MassCollapseError, estimate, run_filter
 from yyfilter.models import (
     AssumptionProfile,
     FilterModel,
@@ -17,7 +16,6 @@ from yyfilter.models import (
     coordinate,
     squared_coordinate,
     _std_normal_density,
-    _unit_diffusion,
 )
 from yyfilter.pde import (
     DensityField,
@@ -183,10 +181,11 @@ def test_clamp_guard_trips_on_violent_potential():
         name="stiff",
         dim=1,
         drift=_zero_vec,
-        diffusion=_unit_diffusion,
+        diffusion=None,
         observation=big_obs,
         initial_density=_std_normal_density,
         assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
+        diffusion_matrix=np.eye(1),
     )
     grid = build_grid(1, 6.0, 121)
     schedule = TimeSchedule(0.5, 5)

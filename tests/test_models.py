@@ -14,7 +14,7 @@ from yyfilter.models import (
     squared_coordinate,
     validate_assumptions,
 )
-from yyfilter.models import _unit_diffusion, _std_normal_density
+from yyfilter.models import _std_normal_density
 
 
 def test_registry_linear1d():
@@ -68,7 +68,7 @@ def test_diffusion_sq_matches_g_g_transpose():
     m = builtin_model("linearNd", dim=3)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-5, 5, size=(100, 3))
-    g = m.diffusion(pts)
+    g = np.broadcast_to(m.diffusion_matrix, (100, 3, 3))
     expected = np.einsum("nij,nkj->nik", g, g)
     assert_allclose(m.diffusion_sq(pts), expected, atol=1e-12)
     # symmetry at every queried point
@@ -171,23 +171,15 @@ def test_rejection_sampler_fallback():
         name="noname",
         dim=1,
         drift=lambda p: -p,
-        diffusion=_unit_diffusion,
+        diffusion=None,
         observation=lambda p: p,
         initial_density=_std_normal_density,
         assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
         sample_radius=6.0,
+        diffusion_matrix=np.eye(1),
     )
     rng = np.random.default_rng(5)
     draws = m.sample_initial(rng, 50_000)
     assert draws.shape == (50_000, 1)
     assert abs(draws.var() - 1.0) < 0.05
 
-
-@pytest.mark.parametrize("n, d", [(0, 2), (1, 1), (5, 3), (1000, 1)])
-def test_unit_diffusion_is_a_fresh_identity_stack(n, d):
-    g = _unit_diffusion(np.zeros((n, d)))
-    assert g.shape == (n, d, d) and g.dtype == np.float64
-    assert g.flags.writeable and g.flags.c_contiguous and g.base is None
-    np.testing.assert_array_equal(g, np.broadcast_to(np.eye(d), (n, d, d)))
-    g[...] = 7.0  # the caller owns it: the next call still returns the identity
-    np.testing.assert_array_equal(_unit_diffusion(np.zeros((2, d))), [np.eye(d)] * 2)

@@ -17,7 +17,6 @@ from yyfilter.models import (
     builtin_model,
     squared_coordinate,
     _std_normal_density,
-    _unit_diffusion,
 )
 from yyfilter.pde import (
     AssemblyError,
@@ -37,18 +36,21 @@ def _zero_vec(points):
 
 
 def _model(dim, drift, diffusion, observation, name="custom"):
+    """`diffusion` is a callback g(x) or a constant (d, d) matrix."""
+    const = isinstance(diffusion, np.ndarray)
     return FilterModel(
         name=name,
         dim=dim,
         drift=drift,
-        diffusion=diffusion,
+        diffusion=None if const else diffusion,
         observation=observation,
         initial_density=_std_normal_density,
         assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
+        diffusion_matrix=diffusion if const else None,
     )
 
 
-HEAT_1D = _model(1, _zero_vec, _unit_diffusion, _zero_vec, "heat1d")
+HEAT_1D = _model(1, _zero_vec, np.eye(1), _zero_vec, "heat1d")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ def test_initial_outside_domain_raises():
         return np.exp(-0.5 * np.sum((points - 50.0) ** 2, axis=1))
 
     m = dataclasses.replace(
-        _model(1, _zero_vec, _unit_diffusion, _zero_vec), initial_density=far_density
+        _model(1, _zero_vec, np.eye(1), _zero_vec), initial_density=far_density
     )
     g = build_grid(1, 6.0, 101)
     with pytest.raises(ValueError, match="radius"):
@@ -149,10 +151,11 @@ def test_initial_uniform_inside_mollifier_plateau():
         name="uniform",
         dim=1,
         drift=_zero_vec,
-        diffusion=_unit_diffusion,
+        diffusion=None,
         observation=_zero_vec,
         initial_density=uniform,
         assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
+        diffusion_matrix=np.eye(1),
     )
     g = build_grid(1, 6.0, 241)
     field = discretize_initial(m, g)
@@ -179,7 +182,7 @@ def test_stencil_constant_drift_row():
     def one_drift(points):
         return np.ones_like(points)
 
-    m = _model(1, one_drift, _unit_diffusion, _zero_vec)
+    m = _model(1, one_drift, np.eye(1), _zero_vec)
     g = build_grid(1, 2.0, 41)
     gen = assemble_generator(m, g)
     dx = g.spacing
@@ -194,7 +197,7 @@ def test_stencil_potential_on_diagonal():
     def identity_obs(points):
         return np.array(points)
 
-    m = _model(1, _zero_vec, _unit_diffusion, identity_obs)
+    m = _model(1, _zero_vec, np.eye(1), identity_obs)
     g = build_grid(1, 2.0, 41)
     gen = assemble_generator(m, g)
     dx = g.spacing
@@ -508,7 +511,7 @@ def test_heat_kernel_error_decreases_with_refinement():
 
 
 def test_heat_kernel_2d_krylov_path():
-    m = _model(2, _zero_vec, _unit_diffusion, _zero_vec)
+    m = _model(2, _zero_vec, np.eye(2), _zero_vec)
     g = build_grid(2, 5.0, 61)
     gen = assemble_generator(m, g)
     r2 = np.sum(g.coords**2, axis=1)

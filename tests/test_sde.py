@@ -11,7 +11,6 @@ from yyfilter.models import (
     TimeSchedule,
     builtin_model,
     _std_normal_density,
-    _unit_diffusion,
 )
 from yyfilter.sde import (
     ObservationPath,
@@ -50,11 +49,12 @@ PURE_NOISE = FilterModel(
     name="pure_noise",
     dim=1,
     drift=_zero_vec,
-    diffusion=_unit_diffusion,
+    diffusion=None,
     observation=_zero_vec,
     initial_density=_std_normal_density,
     assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
     initial_sampler=_point_mass_sampler,
+    diffusion_matrix=np.eye(1),
 )
 
 
@@ -179,11 +179,12 @@ def test_nonfinite_state_raises():
         name="boom",
         dim=1,
         drift=exploding,
-        diffusion=_unit_diffusion,
+        diffusion=None,
         observation=_zero_vec,
         initial_density=_std_normal_density,
         assumptions=AssumptionProfile(1.0, 1.0, 2, 1, 1.0),
         initial_sampler=_point_mass_sampler,
+        diffusion_matrix=np.eye(1),
     )
     from yyfilter.sde import SimulationError
 

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or a test file imports is used in that file.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -11,6 +11,7 @@ import pytest
 import yyfilter
 
 MODULES = sorted(p for p in Path(yyfilter.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -27,7 +28,10 @@ def _unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_FILES,
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}",
+)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
