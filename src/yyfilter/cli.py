@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .baselines import LINEAR_ORACLES, ORACLES, ParticleResult
 from .config import ConfigError, ExperimentConfig, load_config
-from .diagnostics import convergence_sweep, radius_sweep
+from .diagnostics import check_dt_levels, convergence_sweep, radius_sweep
 from .filtering import run_filter
 from .models import validate_assumptions
 from .pde import build_grid
@@ -106,6 +106,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     phi = cfg.test_functions()[0]
     if cfg.sweep_axis == "dt":
         _refuse_nonlinear(cfg, "[sweep] oracle", cfg.oracle)
+        # not on load: the axis defaults to dt, and another command's config
+        # need not fit its terminal time to the default dt values
+        try:
+            check_dt_levels(cfg.terminal, cfg.sweep_values)
+        except ValueError as exc:
+            raise ConfigError(f"field [sweep] values: {exc}") from exc
         result = convergence_sweep(model, grid, cfg.terminal, cfg.sweep_values, cfg.seeds,
                                    oracle=cfg.oracle, phi=phi, substeps=cfg.substeps)
         lo, hi = cfg.slope_band

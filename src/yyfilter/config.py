@@ -1,46 +1,17 @@
 """Experiment configuration: INI-style key/value files with sections.
 
-Example::
-
-    [model]
-    name = linear1d
-
-    [grid]
-    radius = 6.0
-    points = 241
-
-    [schedule]
-    terminal = 1.0
-    steps = 1000
-
-    [filter]
-    substeps = 8
-    test_functions = x1
-
-    [run]
-    seeds = 50
-    seed_base = 0
-
-    [sweep]
-    axis = dt
-    values = 0.02, 0.01, 0.005, 0.0025
-    oracle = kalman
-
-    [output]
-    directory = out
-
-Only [model], [grid], and [schedule] are required, and a dt sweep, which
-takes its step counts from [sweep] values, may leave [schedule] steps out
-(a command that needs it then exits naming it); every applied default
-is echoed to the log.  [filter] substeps is the grid filter's
-Crank-Nicolson stage count per knot (default filtering.DEFAULT_SUBSTEPS)
-and nothing else: simulate, filter and baseline always simulate their
-paths at sde.PATH_SUBSTEPS Euler substeps per knot, and a sweep at the
-diagnostics' own resolution.  Validation happens before any compute and
-errors name the offending field; a section or key the loader does not
-read is an error too.  An R sweep builds one grid per radius at the
-[grid] spacing 2 * radius / (points - 1), so each radius must be a
-multiple of it.
+CONFIG_KEYS declares every key once: its section, the ExperimentConfig
+field it fills, its parser and its default.  load_config reads the file
+through that table, logs each default it applies, refuses any section or
+key the table lacks, and hashes the resolved values (config_hash).  Range
+and cross-field checks follow, before any compute, and each error names
+its field.  [filter] substeps is the grid filter's Crank-Nicolson stage
+count per knot and nothing else: simulate, filter and baseline simulate
+their paths at sde.PATH_SUBSTEPS Euler substeps per knot, and a sweep at
+the diagnostics' own resolution.  The rules for swept values live beside
+the sweeps: diagnostics.check_radius_levels runs here, since each radius
+gets its own grid at the [grid] spacing, and diagnostics.check_dt_levels
+runs in the sweep command, since the axis defaults to dt.
 """
 
 from __future__ import annotations
@@ -50,9 +21,11 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .baselines import BASELINES, SWEEP_ORACLES
+from .diagnostics import check_radius_levels
 from .filtering import DEFAULT_SUBSTEPS
 from .models import (
     FilterModel,
@@ -133,12 +106,83 @@ class ExperimentConfig:
         return [parse_test_function(lb) for lb in self.test_function_labels]
 
 
-def _get(parser, section, key, default=None, echo=True):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    if default is not None and echo:
-        log.info("config: [%s] %s not set; using default %r", section, key, default)
-    return default
+REQUIRED = object()  # default of a key the file must set
+
+
+def _float(raw, name, finite=True):
+    try:
+        v = float(raw)
+        if math.isfinite(v) or not (finite or math.isnan(v)):
+            return v
+    except ValueError:
+        pass
+    raise ConfigError(f"field {name}: not a finite number: {raw!r}")
+
+
+def _floats(raw, name, finite=True):
+    return tuple(_float(s.strip(), name, finite) for s in raw.split(","))
+
+
+def _int(raw, name):
+    v = _float(raw, name)
+    if v != int(v):
+        raise ConfigError(f"field {name} must be an integer")
+    return int(v)
+
+
+def _names(*names):
+    def parse(raw, name):
+        if raw not in names:
+            raise ConfigError(f"field {name}: unknown name {raw!r}; valid names: {', '.join(names)}")
+        return raw
+    return parse
+
+
+def _labels(raw, name):
+    """Comma-separated test-function labels, each in its parsed (canonical) spelling."""
+    try:
+        return tuple(parse_test_function(s).label for s in raw.split(",") if s.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"field {name}: {exc}") from exc
+
+
+class Key(NamedTuple):
+    section: str
+    key: str
+    field: str  # the ExperimentConfig field it fills ([model] dim goes into `model`)
+    parse: Callable  # (raw text, "[section] key") -> value, raising ConfigError
+    default: object  # raw text applied and logged when unset, REQUIRED, or None: unset is None
+
+
+# The single declaration of every config key: load_config reads exactly these,
+# refuses any other section or key, and hashes their resolved values.
+CONFIG_KEYS = (
+    Key("model", "name", "model", _names(*_REGISTRY_NAMES), REQUIRED),
+    Key("model", "dim", "dim", _int, None),
+    Key("grid", "radius", "grid_radius", _float, REQUIRED),
+    Key("grid", "points", "grid_points", _int, REQUIRED),
+    Key("schedule", "terminal", "terminal", _float, REQUIRED),
+    # a dt sweep takes its step counts from [sweep] values, so it may leave steps out
+    Key("schedule", "steps", "steps", _int, None),
+    Key("filter", "substeps", "substeps", _int, str(DEFAULT_SUBSTEPS)),
+    Key("filter", "test_functions", "test_function_labels", _labels, "x1"),
+    Key("baseline", "method", "baseline", _names(*BASELINES), "kalman"),
+    Key("baseline", "particles", "particles", _int, "10000"),
+    Key("sweep", "axis", "sweep_axis", _names("dt", "R"), "dt"),
+    Key("sweep", "values", "sweep_values", _floats, "0.02, 0.01, 0.005"),
+    Key("sweep", "oracle", "oracle", _names(*SWEEP_ORACLES), "kalman"),
+    # err <= C*sqrt(dt) bounds the dt slope from below only, so the default band is one-sided.
+    Key("sweep", "slope_band", "slope_band", partial(_floats, finite=False), "0.35, inf"),
+    Key("run", "seed_base", "seed_base", _int, "0"),
+    Key("run", "seeds", "seed_count", _int, "50"),
+    Key("output", "directory", "output_dir", lambda raw, name: raw, "out"),
+)
+
+
+def _dump(value) -> str:
+    if value is None:
+        return ""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -151,171 +195,77 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: parse error at {lines}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for section in parser.sections():
+        keys = [k.key for k in CONFIG_KEYS if k.section == section]
+        if not keys:
+            raise ConfigError(f"section [{section}] is not a known section")
+        for key in parser.options(section):
+            if key not in keys:
+                raise ConfigError(f"field [{section}] {key} is not a known key")
 
-    def need_name(section, key, names, default=None):
-        value = _get(parser, section, key, default)
-        if value is None:
-            raise ConfigError(f"field [{section}] {key} is required")
-        if value not in names:
-            raise ConfigError(f"field [{section}] {key}: unknown name {value!r}; "
-                              f"valid names: {', '.join(names)}")
-        return value
-
-    name = need_name("model", "name", _REGISTRY_NAMES)
-
-    def to_float(section, key, raw, finite=True):
-        try:
-            v = float(raw)
-            if math.isfinite(v) or not (finite or math.isnan(v)):
-                return v
-        except ValueError:
-            pass
-        raise ConfigError(f"field [{section}] {key}: not a finite number: {raw!r}")
-
-    def need_float(section, key, default=None, echo=True):
-        raw = _get(parser, section, key, default, echo=echo)
-        if raw is None:
-            raise ConfigError(f"field [{section}] {key} is required")
-        return to_float(section, key, raw)
-
-    def need_floats(section, key, default, finite=True):
-        raw = _get(parser, section, key, default)
-        return tuple(to_float(section, key, s.strip(), finite) for s in raw.split(","))
-
-    def need_int(section, key, default=None, echo=True):
-        v = need_float(section, key, default, echo)
-        if v != int(v):
-            raise ConfigError(f"field [{section}] {key} must be an integer")
-        return int(v)
-
-    dim = need_int("model", "dim") if _get(parser, "model", "dim", echo=False) else None
+    values, dump = {}, {}
+    for k in CONFIG_KEYS:
+        name = f"[{k.section}] {k.key}"
+        raw = parser.get(k.section, k.key, fallback=None)
+        if raw is None and k.default is REQUIRED:
+            raise ConfigError(f"field {name} is required")
+        if raw is None and k.default is not None:
+            log.info("config: [%s] %s not set; using default %r", k.section, k.key, k.default)
+            raw = k.default
+        # an optional key set to nothing counts as unset
+        values[k.field] = k.parse(raw, name) if raw or k.default is not None else None
+        dump[f"{k.section}.{k.key}"] = _dump(values[k.field])
     try:
-        model = builtin_model(name, dim=dim)
+        values["model"] = builtin_model(values["model"], dim=values.pop("dim"))
     except ValueError as exc:
         raise ConfigError(f"field [model] dim: {exc}") from exc
-
-    radius = need_float("grid", "radius")
-    points = need_int("grid", "points")
-    terminal = need_float("schedule", "terminal")
-    # a dt sweep takes its step counts from [sweep] values, so it may leave steps out
-    steps = need_int("schedule", "steps") if _get(parser, "schedule", "steps", echo=False) else None
-
-    if steps is not None and steps < 1:
-        raise ConfigError("field [schedule] steps: K must be >= 1")
-    if terminal <= 0:
-        raise ConfigError("field [schedule] terminal must be positive")
-    if radius <= 1:
-        raise ConfigError("field [grid] radius must exceed 1 (mollifier support)")
-    if points < 5 or points % 2 == 0:
-        raise ConfigError("field [grid] points must be an odd integer >= 5")
-
-    substeps = need_int("filter", "substeps", str(DEFAULT_SUBSTEPS))
-    if substeps < 1:
-        raise ConfigError("field [filter] substeps must be >= 1")
-    labels = tuple(
-        s.strip()
-        for s in _get(parser, "filter", "test_functions", "x1").split(",")
-        if s.strip()
+    cfg = ExperimentConfig(
+        **values, raw_dump="\n".join(f"{k}={v}" for k, v in sorted(dump.items()))
     )
+
+    if cfg.steps is not None and cfg.steps < 1:
+        raise ConfigError("field [schedule] steps: K must be >= 1")
+    if cfg.terminal <= 0:
+        raise ConfigError("field [schedule] terminal must be positive")
+    if cfg.grid_radius <= 1:
+        raise ConfigError("field [grid] radius must exceed 1 (mollifier support)")
+    if cfg.grid_points < 5 or cfg.grid_points % 2 == 0:
+        raise ConfigError("field [grid] points must be an odd integer >= 5")
+    if cfg.substeps < 1:
+        raise ConfigError("field [filter] substeps must be >= 1")
+    labels = cfg.test_function_labels
     if not labels:
         raise ConfigError("field [filter] test_functions names no test function")
     for lb in labels:
         if labels.count(lb) > 1:
             raise ConfigError(f"field [filter] test_functions names {lb!r} twice")
-        try:
-            parse_test_function(lb)
-        except ConfigError as exc:
-            raise ConfigError(f"field [filter] test_functions: {exc}") from exc
-        for token in lb.replace("^2", "").split("*"):
-            if _coord_index(token) >= model.dim:
-                raise ConfigError(
-                    f"field [filter] test_functions: {lb!r} reads a coordinate beyond "
-                    f"the model's dim {model.dim}"
-                )
+        if any(_coord_index(t) >= cfg.model.dim for t in lb.replace("^2", "").split("*")):
+            raise ConfigError(
+                f"field [filter] test_functions: {lb!r} reads a coordinate beyond "
+                f"the model's dim {cfg.model.dim}"
+            )
+    least = 3 if cfg.baseline == "bootstrap_pf" else 2  # at N = 2 a PF's ESS never falls below N/2
+    if cfg.particles < least:
+        raise ConfigError(f"field [baseline] particles must be >= {least} for {cfg.baseline}")
 
-    baseline = need_name("baseline", "method", BASELINES, "kalman")
-    particles = need_int("baseline", "particles", "10000")
-    least = 3 if baseline == "bootstrap_pf" else 2  # at N = 2 a PF's ESS never falls below N/2
-    if particles < least:
-        raise ConfigError(f"field [baseline] particles must be >= {least} for {baseline}")
-
-    sweep_axis = need_name("sweep", "axis", ("dt", "R"), "dt")
-    if steps is None and sweep_axis == "R":
+    if cfg.steps is None and cfg.sweep_axis == "R":
         raise ConfigError("field [schedule] steps is required by an R sweep")
-    sweep_values = need_floats("sweep", "values", "0.02, 0.01, 0.005")
-    if not all(v > 0 for v in sweep_values):
+    if not all(v > 0 for v in cfg.sweep_values):
         raise ConfigError("field [sweep] values must all be positive")
-    if sweep_axis == "R" and not all(v > 1 for v in sweep_values):
-        raise ConfigError("field [sweep] values: each radius must exceed 1 (mollifier support)")
-    if sweep_axis == "R":
-        # each radius gets its own grid at the [grid] spacing, so it must end on a node
-        spacing = 2 * radius / (points - 1)
-        for v in sweep_values:
-            if abs(v / spacing - round(v / spacing)) > 1e-9:
-                raise ConfigError(
-                    f"field [sweep] values: radius {v!r} is not an integer multiple of the "
-                    f"[grid] spacing {spacing!r}"
-                )
-    oracle = need_name("sweep", "oracle", SWEEP_ORACLES, "kalman")
-    # err <= C*sqrt(dt) bounds the dt slope from below only, so the default band is one-sided.
-    band = need_floats("sweep", "slope_band", "0.35, inf", finite=False)
+    if cfg.sweep_axis == "R":
+        if not all(v > 1 for v in cfg.sweep_values):
+            raise ConfigError("field [sweep] values: each radius must exceed 1 (mollifier support)")
+        try:  # each radius gets its own grid at the [grid] spacing
+            check_radius_levels(cfg.sweep_values, 2 * cfg.grid_radius / (cfg.grid_points - 1))
+        except ValueError as exc:
+            raise ConfigError(f"field [sweep] values: {exc}") from exc
+    band = cfg.slope_band
     if len(band) != 2 or not math.isfinite(band[0]) or band[0] >= band[1]:
         raise ConfigError(
             "field [sweep] slope_band must be two increasing numbers, the first finite"
         )
-
-    seed_base = need_int("run", "seed_base", "0")
-    if seed_base < 0:
+    if cfg.seed_base < 0:
         raise ConfigError("field [run] seed_base must be >= 0")
-    seed_count = need_int("run", "seeds", "50")
-    if seed_count < 1:
+    if cfg.seed_count < 1:
         raise ConfigError("field [run] seeds must be >= 1")
-    output_dir = _get(parser, "output", "directory", "out")
-
-    resolved = {
-        "model.name": name,
-        "model.dim": "" if dim is None else dim,
-        "grid.radius": radius,
-        "grid.points": points,
-        "schedule.terminal": terminal,
-        "schedule.steps": "" if steps is None else steps,
-        "filter.substeps": substeps,
-        "filter.test_functions": ",".join(labels),
-        "baseline.method": baseline,
-        "baseline.particles": particles,
-        "sweep.axis": sweep_axis,
-        "sweep.values": ",".join(repr(v) for v in sweep_values),
-        "sweep.oracle": oracle,
-        "sweep.slope_band": ",".join(repr(v) for v in band),
-        "run.seed_base": seed_base,
-        "run.seeds": seed_count,
-        "output.directory": output_dir,
-    }
-    known = {tuple(k.split(".")) for k in resolved}
-    for section in parser.sections():
-        if section not in {s for s, _ in known}:
-            raise ConfigError(f"section [{section}] is not a known section")
-        for key in parser.options(section):
-            if (section, key) not in known:
-                raise ConfigError(f"field [{section}] {key} is not a known key")
-    raw_dump = "\n".join(f"{k}={v}" for k, v in sorted(resolved.items()))
-
-    return ExperimentConfig(
-        model=model,
-        grid_radius=radius,
-        grid_points=points,
-        terminal=terminal,
-        steps=steps,
-        substeps=substeps,
-        test_function_labels=labels,
-        baseline=baseline,
-        particles=particles,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        oracle=oracle,
-        slope_band=band,
-        seed_base=seed_base,
-        seed_count=seed_count,
-        output_dir=output_dir,
-        raw_dump=raw_dump,
-    )
+    return cfg

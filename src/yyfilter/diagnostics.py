@@ -4,6 +4,8 @@ tail_mass                     density tail-mass readout
 l4_stability_check            non-explosion of reconstructed pre-update fields
 exp_moment_step_check         one-step quartic-mass amplification law
 quartic_growth_profile        deterministic L4 growth under pure propagation
+check_dt_levels               the dt sweep's rule for its swept values
+check_radius_levels           the radius sweep's rule for its swept values
 convergence_sweep             estimate error against an oracle across dt
 radius_sweep                  estimate drift and tail mass across domain radii
 
@@ -305,6 +307,35 @@ _ORACLE_REFINE = 4
 _PATH_SUBSTEPS = 2
 
 
+def check_dt_levels(terminal: float, deltas: Sequence[float]) -> None:
+    """Raise ValueError unless every dt divides the terminal time, is a multiple
+    of the finest dt, and gives a step count no other dt gives."""
+    finest = min(deltas)
+    for d in deltas:
+        ratio = d / finest
+        if abs(ratio - round(ratio)) > 1e-9 or abs(terminal / d - round(terminal / d)) > 1e-9:
+            raise ValueError("every dt must divide the terminal time and be a multiple of "
+                             f"the finest dt; dt {d!r} does not (terminal {terminal!r})")
+    _refuse_repeats("dt", deltas, [round(terminal / d) for d in deltas])
+
+
+def check_radius_levels(radii: Sequence[float], dx: float) -> None:
+    """Raise ValueError unless there are at least two radii, each an integer
+    multiple of the grid spacing dx that gives a node count no other gives."""
+    if len(radii) < 2:
+        raise ValueError("need at least 2 radii")
+    for R in radii:
+        if abs(R / dx - round(R / dx)) > 1e-9:
+            raise ValueError(f"radius {R!r} is not an integer multiple of the grid spacing {dx!r}")
+    _refuse_repeats("radius", radii, [round(R / dx) for R in radii])
+
+
+def _refuse_repeats(what: str, values: Sequence[float], levels: list) -> None:
+    for j, level in enumerate(levels):
+        if level in levels[:j]:
+            raise ValueError(f"{what} {values[j]!r} repeats a level already swept")
+
+
 def convergence_sweep(
     model: FilterModel,
     grid: Grid,
@@ -332,12 +363,8 @@ def convergence_sweep(
         raise ValueError(f"unknown oracle {oracle!r}; valid names: {', '.join(SWEEP_ORACLES)}")
     if oracle in LINEAR_ORACLES and model.linear is None:
         raise ValueError(f"{oracle} oracle requires a linear model")
+    check_dt_levels(terminal, deltas)
     finest = min(deltas)
-    for d in deltas:
-        ratio = d / finest
-        if abs(ratio - round(ratio)) > 1e-9 or abs(terminal / d - round(terminal / d)) > 1e-9:
-            raise ValueError("every dt must divide the terminal time and be a "
-                             "multiple of the finest dt")
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for the standard errors")
     phi = phi if phi is not None else coordinate(0)
@@ -393,11 +420,7 @@ def radius_sweep(
     all seeds run as one batch, one filter run per radius.
     """
     radii = sorted(float(r) for r in radii)
-    if len(radii) < 2:
-        raise ValueError("need at least 2 radii")
-    for R in radii:
-        if abs(R / dx - round(R / dx)) > 1e-9:
-            raise ValueError("each radius must be an integer multiple of dx")
+    check_radius_levels(radii, dx)
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for the standard errors")
     phi = phi if phi is not None else coordinate(0)

@@ -20,11 +20,12 @@ from yyfilter import (
 )
 from yyfilter.baselines import BASELINES, PARTICLE_SEED_OFFSET, SWEEP_ORACLES
 from yyfilter.cli import main
-from yyfilter.config import ConfigError, load_config, parse_test_function
+from yyfilter.config import CONFIG_KEYS, REQUIRED, ConfigError, load_config, parse_test_function
 from yyfilter.filtering import DEFAULT_SUBSTEPS
 from yyfilter.sde import PATH_SUBSTEPS
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 BASE_CONFIG = """\
 [model]
@@ -88,6 +89,37 @@ def test_config_hash_stable(tmp_path):
     assert a.config_hash == b.config_hash
     c = load_config(_write(tmp_path, BASE_CONFIG.replace("0.2", "0.4"), "c.ini"))
     assert c.config_hash != a.config_hash
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("convergence_rate.ini", "a3010cff8897e8b5"),
+    ("kalman_agreement.ini", "143651312f7a0e0b"),
+    ("linear1d_demo.ini", "64aa2a808653b594"),
+    ("nonlinear_crossval.ini", "24c6ea7822fd42aa"),
+    ("radius_truncation.ini", "ca82ab7e20af10c8"),
+])
+def test_shipped_config_hash_pinned(name, digest):
+    # the hash heads every output file: a change to how the loader resolves or
+    # dumps a key would silently relabel old outputs
+    assert load_config(str(CONFIGS / name)).config_hash == digest
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    rows = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `[") and len(cells) == 3:
+            rows[cells[0]] = cells[1]
+    for k in CONFIG_KEYS:
+        want = ("required" if k.default is REQUIRED else "unset" if k.default is None
+                else f"`{k.default}`")
+        assert rows.get(f"`[{k.section}] {k.key}`") == want, (k.section, k.key)
+    assert len(rows) == len(CONFIG_KEYS)
+
+
+def test_test_function_labels_are_stored_as_parsed(tmp_path):
+    cfg = load_config(_write(tmp_path, BASE_CONFIG + "\n[filter]\ntest_functions = x01, x1 ^2\n"))
+    assert cfg.test_function_labels == ("x1", "x1^2")
 
 
 def test_test_function_labels():
@@ -354,6 +386,13 @@ def test_cli_bad_config_exit_code(tmp_path):
         # no label, and a repeated one: no estimate column, or two with one header
         ("filter", "test_functions =", "[filter] test_functions"),
         ("filter", "test_functions = x1, x1", "[filter] test_functions"),
+        # two spellings of one readout would also give two columns with one header
+        ("filter", "test_functions = x1, x01", "[filter] test_functions"),
+        ("filter", "test_functions = x1^2, x1 ^2", "[filter] test_functions"),
+        # a repeated radius would run its level twice and write two sweep rows
+        ("sweep", "axis = R\nvalues = 3, 6, 6", "[sweep] values"),
+        # the R curve compares each radius with the largest, so one radius gives none
+        ("sweep", "axis = R\nvalues = 3", "[sweep] values"),
         # the particle dt-sweep oracle is gone; the fine grid is no baseline
         ("sweep", "oracle = bootstrap_pf", "[sweep] oracle"),
         ("baseline", "method = fine_oracle", "[baseline] method"),
@@ -371,6 +410,30 @@ def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line
         load_config(cfg_path)
     assert main(["filter", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        "0.03, 0.02, 0.01",  # 0.03 does not divide the terminal time 0.1
+        "0.02, 0.01, 0.01",  # a repeated dt would fit the slope to two distinct levels
+    ],
+)
+def test_cli_bad_dt_sweep_values_exit_2_naming_them(tmp_path, capsys, monkeypatch, values):
+    text = BASE_CONFIG.replace("terminal = 0.2", "terminal = 0.1").replace("steps = 10", "steps = 5")
+    cfg_path = _write(tmp_path, text + f"\n[sweep]\naxis = dt\nvalues = {values}\n")
+    load_config(cfg_path)  # the axis defaults to dt, so other commands must still load it
+    assert main(["filter", "--config", cfg_path, "--out", str(tmp_path / "filter")]) == 0
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr("yyfilter.diagnostics.simulate", no_simulation)
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "[sweep] values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dt_sweep_needs_no_steps_and_other_commands_refuse_its_absence(tmp_path, capsys):

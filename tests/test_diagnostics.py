@@ -197,6 +197,14 @@ def test_convergence_sweep_rejects_bad_grid_of_dts(linear1d):
         convergence_sweep(linear1d, grid, 0.2, [0.02, 0.015], seeds=[0], oracle="kalman")
 
 
+def test_sweeps_refuse_a_repeated_level(linear1d):
+    grid = build_grid(1, 6.0, 61)
+    with pytest.raises(ValueError, match="repeats"):
+        convergence_sweep(linear1d, grid, 0.2, [0.04, 0.02, 0.02], seeds=[0, 1])
+    with pytest.raises(ValueError, match="repeats"):
+        radius_sweep(linear1d, TimeSchedule(0.1, 5), [3.0, 4.5, 4.5], dx=0.3, seeds=[0, 1])
+
+
 def test_sweeps_need_two_seeds(linear1d):
     # the standard error over seeds takes ddof=1, so one seed would give NaN
     with pytest.raises(ValueError, match="at least 2 seeds"):
