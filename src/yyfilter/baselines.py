@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .filtering import run_filter
-from .models import FilterModel, TestFunction, TimeSchedule
+from .models import FilterModel, TestFunction, TimeSchedule, parse_test_function
 from .pde import build_grid
 from .sde import PATH_SUBSTEPS, ObservationPath, observation_increments, _rng_for
 from .tables import csv_table
@@ -62,17 +62,12 @@ class KalmanResult:
         )
 
     def column(self, label: str) -> np.ndarray:
-        """Per-knot values of the moment readouts x_i, x_i^2, x_i*x_j."""
-        if "*" in label:
-            a, b = label.split("*")
-            i, j = int(a[1:]) - 1, int(b[1:]) - 1
-            return self.means[:, i] * self.means[:, j] + self.covs[:, i, j]
-        if label.endswith("^2"):
-            i = int(label[1:-2]) - 1
-            return self.means[:, i] ** 2 + self.covs[:, i, i]
-        if label.startswith("x"):
-            return self.means[:, int(label[1:]) - 1]
-        raise ValueError(f"kalman oracle cannot evaluate test function {label!r}")
+        """Per-knot moments: E[x_i] = m_i, and E[x_i x_j] = m_i m_j + P_ij for x_i*x_j and x_i^2."""
+        indices = parse_test_function(label).indices
+        if len(indices) == 1:
+            return self.means[:, indices[0]]
+        i, j = indices
+        return self.means[:, i] * self.means[:, j] + self.covs[:, i, j]
 
 
 def _discrete_transition(F: np.ndarray, Q: np.ndarray, dt: float):

@@ -27,42 +27,13 @@ from typing import Callable, NamedTuple, Optional
 from .baselines import BASELINES, SWEEP_ORACLES
 from .diagnostics import check_radius_levels
 from .filtering import DEFAULT_SUBSTEPS
-from .models import (
-    FilterModel,
-    TestFunction,
-    TimeSchedule,
-    _REGISTRY_NAMES,
-    builtin_model,
-    coordinate,
-    coordinate_product,
-    squared_coordinate,
-)
+from .models import FilterModel, TimeSchedule, _REGISTRY_NAMES, builtin_model, parse_test_function
 
 log = logging.getLogger("yyfilter")
 
 
 class ConfigError(ValueError):
     """Config file failed to parse or validate."""
-
-
-def parse_test_function(label: str) -> TestFunction:
-    """Resolve labels like x1, x2^2, x1*x3 into test functions."""
-    label = label.strip()
-    if label.count("*") > 1:
-        raise ConfigError(f"test function label {label!r} has more than one '*'; use x1*x2, x1^2")
-    if "*" in label:
-        a, b = label.split("*")
-        return coordinate_product(_coord_index(a), _coord_index(b))
-    if label.endswith("^2"):
-        return squared_coordinate(_coord_index(label[:-2]))
-    return coordinate(_coord_index(label))
-
-
-def _coord_index(token: str) -> int:
-    token = token.strip()
-    if not token.startswith("x") or not token[1:].isdigit() or int(token[1:]) < 1:
-        raise ConfigError(f"unknown test function label {token!r}; use x1, x2^2, x1*x2, ...")
-    return int(token[1:]) - 1
 
 
 @dataclass
@@ -142,7 +113,7 @@ def _labels(raw, name):
     """Comma-separated test-function labels, each in its parsed (canonical) spelling."""
     try:
         return tuple(parse_test_function(s).label for s in raw.split(",") if s.strip())
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"field {name}: {exc}") from exc
 
 
@@ -187,7 +158,9 @@ def _dump(value) -> str:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
-    parser = configparser.ConfigParser()
+    # Values are read as written (no %-interpolation), and "" names no section, so
+    # [DEFAULT] is refused as an unknown section instead of lending keys to all the others.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.ParsingError as exc:
@@ -233,15 +206,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("field [grid] points must be an odd integer >= 5")
     if cfg.substeps < 1:
         raise ConfigError("field [filter] substeps must be >= 1")
-    labels = cfg.test_function_labels
-    if not labels:
+    phis = cfg.test_functions()
+    if not phis:
         raise ConfigError("field [filter] test_functions names no test function")
-    for lb in labels:
-        if labels.count(lb) > 1:
-            raise ConfigError(f"field [filter] test_functions names {lb!r} twice")
-        if any(_coord_index(t) >= cfg.model.dim for t in lb.replace("^2", "").split("*")):
+    for phi in phis:
+        if phis.count(phi) > 1:
+            raise ConfigError(f"field [filter] test_functions names {phi.label!r} twice")
+        if max(phi.indices) >= cfg.model.dim:
             raise ConfigError(
-                f"field [filter] test_functions: {lb!r} reads a coordinate beyond "
+                f"field [filter] test_functions: {phi.label!r} reads a coordinate beyond "
                 f"the model's dim {cfg.model.dim}"
             )
     least = 3 if cfg.baseline == "bootstrap_pf" else 2  # at N = 2 a PF's ESS never falls below N/2

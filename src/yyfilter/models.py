@@ -61,8 +61,8 @@ class AssumptionProfile:
     lipschitz       global Lipschitz bound for the drift
     ellipticity     uniform lower eigenvalue bound for g g^T on the domain
     moment_order    highest checked moment of the initial density is 2n
-    growth_order    polynomial growth order 2m allowed for test functions
-    growth_bound    constant in |phi(x)| <= L (1 + |x|^{2m})
+    growth_order    m: every test function must satisfy |phi(x)| <= L (1 + |x|^{2m})
+    growth_bound    the constant L of that envelope
     """
 
     lipschitz: float
@@ -96,9 +96,9 @@ class LinearSystem:
 class FilterModel:
     """Coefficient bundle defining one filtering system.
 
-    Immutable after construction and safe to share across workers; the
-    callbacks must be pure.  A model equals only itself and hashes by
-    identity, since its array fields have no single truth value.  The diffusion is either the callback g(x),
+    Immutable after construction; the callbacks must be pure.  A model
+    equals only itself and hashes by identity, since its array fields have
+    no single truth value.  The diffusion is either the callback g(x),
     `diffusion`, or a constant g declared as `diffusion_matrix`, a finite
     (d, d) array kept as a read-only copy.  When the matrix is declared,
     `diffusion` is never called and may be None.  ``diffusion_sq``
@@ -179,53 +179,70 @@ class FilterModel:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A readout phi with its declared polynomial growth envelope."""
+    """A moment readout: phi(x) is the product of the coordinates x_i at `indices`.
 
-    label: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    growth_order: int = 1
-    growth_bound: float = 1.0
+    The 0-based indices are kept sorted, so () is 1, (i,) is x_i, (i, i) is
+    x_i^2 and (i, j) is x_i x_j, and each readout has exactly one label.
+    """
+
+    indices: tuple = ()
+
+    def __post_init__(self):
+        indices = tuple(sorted(self.indices))
+        if len(indices) > 2 or any(i < 0 for i in indices):
+            raise ValueError(f"a readout reads at most two coordinates i >= 0, not {self.indices}")
+        object.__setattr__(self, "indices", indices)
+
+    @property
+    def label(self) -> str:
+        names = [f"x{i + 1}" for i in self.indices]
+        if len(names) == 2 and names[0] == names[1]:
+            return f"{names[0]}^2"
+        return "*".join(names) or "1"
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(as_points(points))
+        points = as_points(points)
+        if not self.indices:
+            return np.ones(points.shape[0])
+        out = points[:, self.indices[0]]
+        for i in self.indices[1:]:
+            out = out * points[:, i]
+        return out
 
 
-def _const_one(points):
-    return np.ones(points.shape[0])
-
-
-def _coord_fn(points, i):
-    return points[:, i]
-
-
-def _coord_sq_fn(points, i):
-    return points[:, i] ** 2
-
-
-def _coord_prod_fn(points, i, j):
-    return points[:, i] * points[:, j]
-
-
-ONE = TestFunction("1", _const_one, growth_order=1, growth_bound=1.0)
+ONE = TestFunction()
 
 
 def coordinate(i: int = 0) -> TestFunction:
     """phi(x) = x_i (conditional-mean readout)."""
-    return TestFunction(f"x{i + 1}", partial(_coord_fn, i=i), growth_order=1, growth_bound=1.0)
+    return TestFunction((i,))
 
 
 def squared_coordinate(i: int = 0) -> TestFunction:
     """phi(x) = x_i^2 (second-moment readout)."""
-    return TestFunction(
-        f"x{i + 1}^2", partial(_coord_sq_fn, i=i), growth_order=1, growth_bound=1.0
-    )
+    return TestFunction((i, i))
 
 
 def coordinate_product(i: int, j: int) -> TestFunction:
-    """phi(x) = x_i x_j (covariance readout)."""
-    return TestFunction(
-        f"x{i + 1}*x{j + 1}", partial(_coord_prod_fn, i=i, j=j), growth_order=1, growth_bound=1.0
-    )
+    """phi(x) = x_i x_j (covariance readout); the order of i and j does not matter."""
+    return TestFunction((i, j))
+
+
+def parse_test_function(label: str) -> TestFunction:
+    """The readout a label names: x1, x2^2, x1*x3, ...
+
+    Spaces around a factor and leading zeros are allowed, and the factors of
+    a product may come in either order: x2*x1 and x1 * x02 both name x1*x2.
+    Raises ValueError naming the label when it names no readout.
+    """
+    text = label.strip()
+    factors = [text[:-2]] * 2 if text.endswith("^2") else text.split("*")
+    tokens = [f.strip() for f in factors]
+    if len(tokens) > 2 or not all(
+        t[:1] == "x" and t[1:].isdecimal() and int(t[1:]) >= 1 for t in tokens
+    ):
+        raise ValueError(f"unknown test function label {text!r}; use x1, x2^2, x1*x2, ...")
+    return TestFunction(tuple(int(t[1:]) - 1 for t in tokens))
 
 
 @dataclass(frozen=True)
@@ -258,8 +275,7 @@ class TimeSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Built-in benchmark registry.  Coefficient callbacks are module-level
-# functions so models pickle cleanly into worker processes.
+# Built-in benchmark registry.
 # ---------------------------------------------------------------------------
 
 
@@ -408,7 +424,8 @@ def validate_assumptions(
     quotient against the declared Lipschitz constant, the smallest
     eigenvalue of g g^T against the declared ellipticity floor, finiteness
     of the numerically integrated initial-density moments up to the
-    declared order, and each test function against its growth envelope.
+    declared order, and each test function against the declared growth
+    envelope L (1 + |x|^{2m}).
     Failures are reported in the result, not raised; non-finite
     coefficient evaluations raise CoefficientError naming the
     coefficient and the point.
@@ -481,9 +498,9 @@ def validate_assumptions(
         )
     )
 
+    envelope = prof.growth_bound * (1 + np.linalg.norm(x, axis=1) ** (2 * prof.growth_order))
     for phi in test_functions:
         vals = np.abs(_require_finite(phi(x), f"test function {phi.label}", x))
-        envelope = phi.growth_bound * (1 + np.linalg.norm(x, axis=1) ** (2 * phi.growth_order))
         ok = bool(np.all(vals <= envelope * 1.01))
         checks.append(
             AssumptionCheck(

@@ -124,6 +124,17 @@ def test_kalman_2d_runs():
     assert np.all(eigs > 0)
 
 
+def test_kalman_column_reads_the_moments():
+    m = builtin_model("linearNd")
+    sched = TimeSchedule(0.5, 50)
+    res = kalman_filter(m, sched, simulate(m, sched, seed=4)[1])
+    mu, cov = res.means, res.covs
+    assert_array_equal(res.column("x1"), mu[:, 0])
+    assert_array_equal(res.column("x2^2"), mu[:, 1] ** 2 + cov[:, 1, 1])
+    assert_array_equal(res.column("x1*x2"), mu[:, 0] * mu[:, 1] + cov[:, 0, 1])
+    assert_array_equal(res.column("x2*x1"), res.column("x1*x2"))
+
+
 def test_kalman_path_batch_matches_one_path_at_a_time():
     # The means of a batch advance as one (S, d) matrix: bit-identical in 1D,
     # within 1e-12 relative in 2D, where a matrix product may sum in another order.

@@ -20,7 +20,7 @@ from yyfilter import (
 )
 from yyfilter.baselines import BASELINES, PARTICLE_SEED_OFFSET, SWEEP_ORACLES
 from yyfilter.cli import main
-from yyfilter.config import CONFIG_KEYS, REQUIRED, ConfigError, load_config, parse_test_function
+from yyfilter.config import CONFIG_KEYS, REQUIRED, ConfigError, load_config
 from yyfilter.filtering import DEFAULT_SUBSTEPS
 from yyfilter.sde import PATH_SUBSTEPS
 
@@ -122,16 +122,6 @@ def test_test_function_labels_are_stored_as_parsed(tmp_path):
     assert cfg.test_function_labels == ("x1", "x1^2")
 
 
-def test_test_function_labels():
-    assert parse_test_function("x1").label == "x1"
-    assert parse_test_function("x2^2").label == "x2^2"
-    assert parse_test_function("x1*x2").label == "x1*x2"
-    with pytest.raises(ConfigError):
-        parse_test_function("banana")
-    with pytest.raises(ConfigError):  # coordinates count from x1; x0 once read the last one
-        parse_test_function("x0")
-
-
 def test_cmd_filter_writes_csv_with_header(tmp_path):
     cfg_path = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
@@ -143,6 +133,22 @@ def test_cmd_filter_writes_csv_with_header(tmp_path):
     assert lines[0].startswith("# yyfilter 0.1.0 config_hash=")
     assert lines[1] == "t,x1,mass_log_scale,clamped_mass"
     assert len(lines) == 2 + 11  # header comment + column row + K+1 knots
+
+
+def test_product_label_is_written_in_its_canonical_order(tmp_path):
+    text = BASE_CONFIG.replace("linear1d", "linearNd").replace("points = 61", "points = 41")
+    cfg_path = _write(tmp_path, text + "\n[filter]\ntest_functions = x2*x1\n")
+    out = tmp_path / "out"
+    assert main(["filter", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "filter_s0.csv").read_text().splitlines()[1] == (
+        "t,x1*x2,mass_log_scale,clamped_mass"
+    )
+
+
+def test_config_values_are_read_literally(tmp_path):
+    # no %-interpolation: out% once raised from configparser, %(seeds)s read another key
+    cfg = load_config(_write(tmp_path, BASE_CONFIG + "\n[output]\ndirectory = out%(seeds)s%\n"))
+    assert cfg.output_dir == "out%(seeds)s%"
 
 
 def test_cmd_filter_rerun_byte_identical(tmp_path):
@@ -373,6 +379,8 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("filter", "substep = 8", "[filter] substep"),
         ("run", "workers = 2", "[run] workers"),
         ("outputs", "directory = x", "[outputs]"),
+        # [DEFAULT] would lend its keys to every section; it is refused by its own name
+        ("DEFAULT", "seeds = 3", "[DEFAULT]"),
         # removed: the R axis reads the [grid] spacing
         ("sweep", "dx = 0", "[sweep] dx"),
         ("sweep", "axis = R\nvalues = 0.5, 2", "[sweep] values"),
@@ -389,6 +397,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         # two spellings of one readout would also give two columns with one header
         ("filter", "test_functions = x1, x01", "[filter] test_functions"),
         ("filter", "test_functions = x1^2, x1 ^2", "[filter] test_functions"),
+        ("filter", "test_functions = x1^2, x1*x1", "[filter] test_functions names 'x1^2' twice"),
+        ("filter", "test_functions = x1*x2, x2*x1",
+         "[filter] test_functions names 'x1*x2' twice"),
         # a repeated radius would run its level twice and write two sweep rows
         ("sweep", "axis = R\nvalues = 3, 6, 6", "[sweep] values"),
         # the R curve compares each radius with the largest, so one radius gives none

@@ -1,16 +1,22 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from yyfilter.models import (
+    ONE,
     AssumptionProfile,
     FilterModel,
     RegistryError,
     TimeSchedule,
     builtin_model,
     coordinate,
+    coordinate_product,
+    parse_test_function,
     squared_coordinate,
     validate_assumptions,
 )
@@ -101,6 +107,25 @@ def test_registry_models_validate(name, radius):
     assert report.passed, str(report)
 
 
+def test_a4_line_per_readout():
+    phis = [coordinate(0), squared_coordinate(0), coordinate(1), coordinate_product(0, 1)]
+    report = validate_assumptions(builtin_model("linearNd"), 6.0, samples=400, test_functions=phis)
+    a4 = [c.label for c in report.checks if c.label.startswith("A4")]
+    assert a4 == [f"A4 growth of {phi.label}" for phi in phis]
+
+
+def test_a4_reads_the_declared_growth_envelope():
+    # |phi| <= 0.5 (1 + |x|^2) holds for x1 (with equality at |x1| = 1) and fails for x1^2
+    m = dataclasses.replace(builtin_model("linear1d"), assumptions=AssumptionProfile(
+        lipschitz=1.0, ellipticity=1.0, moment_order=4, growth_order=1, growth_bound=0.5))
+    report = validate_assumptions(
+        m, 6.0, samples=800, seed=7, test_functions=[coordinate(0), squared_coordinate(0)]
+    )
+    a4 = {c.label: c.passed for c in report.checks if c.label.startswith("A4")}
+    assert a4 == {"A4 growth of x1": True, "A4 growth of x1^2": False}
+    assert not report.passed
+
+
 def test_benes_sampled_lipschitz_at_most_one():
     # densely sampled difference quotients of tanh never exceed sup|tanh'| = 1
     m = builtin_model("benes")
@@ -183,3 +208,46 @@ def test_rejection_sampler_fallback():
     assert draws.shape == (50_000, 1)
     assert abs(draws.var() - 1.0) < 0.05
 
+
+def test_test_function_labels():
+    assert parse_test_function("x1").label == "x1"
+    assert parse_test_function("x2^2").label == "x2^2"
+    assert parse_test_function("x1*x2").label == "x1*x2"
+    with pytest.raises(ValueError, match="'banana'"):
+        parse_test_function("banana")
+    # coordinates count from x1; x0 once read the last one
+    with pytest.raises(ValueError, match="'x0'"):
+        parse_test_function("x0")
+    for bad in ("x1*x1*x1", "x1**2", "x1*x2^2", "1"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_test_function(bad)
+
+
+readouts = st.one_of(st.builds(coordinate, st.integers(0, 2)),
+                     st.builds(coordinate_product, st.integers(0, 2), st.integers(0, 2)))
+
+
+@given(readouts, readouts)
+def test_labels_round_trip_one_label_per_readout(phi, psi):
+    assert parse_test_function(phi.label) == phi
+    assert (phi.label == psi.label) == (phi == psi)
+
+
+@given(st.integers(0, 2), st.integers(0, 2))
+def test_other_spellings_parse_to_the_canonical_readout(i, j):
+    xi, xj = f"x{i + 1}", f"x{j + 1}"
+    product = parse_test_function(f"{xi}*{xj}")
+    assert product == parse_test_function(f"{xj}*{xi}") == coordinate_product(i, j)
+    assert product == parse_test_function(f" x0{i + 1} * {xj} ")
+    square = squared_coordinate(i)
+    assert parse_test_function(f"{xi}*{xi}") == parse_test_function(f"{xi} ^2") == square
+    assert parse_test_function(f"x0{i + 1}") == coordinate(i)
+
+
+def test_readout_multiplies_its_coordinates():
+    x = np.random.default_rng(0).standard_normal((50, 3))
+    assert_array_equal(squared_coordinate(1)(x), x[:, 1] ** 2)
+    assert_array_equal(coordinate_product(2, 0)(x), x[:, 0] * x[:, 2])
+    assert_array_equal(coordinate(2)(x), x[:, 2])
+    assert_array_equal(ONE(x), np.ones(50))
+    assert ONE.label == "1"
