@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .filtering import run_filter
-from .models import FilterModel, TestFunction, TimeSchedule, parse_test_function
+from .models import FilterModel, TestFunction, TimeSchedule, parse_test_function, readout_index
 from .pde import build_grid
 from .sde import PATH_SUBSTEPS, ObservationPath, observation_increments, _rng_for
 from .tables import csv_table
@@ -140,10 +140,10 @@ class ParticleResult:
     ess: np.ndarray  # (K+1,)
 
     def column(self, label: str) -> np.ndarray:
-        return self.estimates[:, self.labels.index(label)]
+        return self.estimates[:, readout_index(self.labels, label)]
 
     def stderr_column(self, label: str) -> np.ndarray:
-        return self.stderr[:, self.labels.index(label)]
+        return self.stderr[:, readout_index(self.labels, label)]
 
     def to_csv(self) -> str:
         return csv_table(

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import FilterModel, TestFunction, TimeSchedule
+from .models import FilterModel, TestFunction, TimeSchedule, readout_index
 from .pde import (
     DensityField,
     DiscreteGenerator,
@@ -55,10 +55,9 @@ class FilterOutput:
     mass_mantissa: np.ndarray  # (K+1,)
     mass_log_scale: np.ndarray  # (K+1,)
     clamped_mass: np.ndarray  # (K+1,)
-    min_value: np.ndarray  # (K+1,)
 
     def column(self, label: str) -> np.ndarray:
-        return self.estimates[:, self.labels.index(label)]
+        return self.estimates[:, readout_index(self.labels, label)]
 
     def to_csv(self) -> str:
         return csv_table(
@@ -128,7 +127,6 @@ def run_filter(
     mass_m = np.empty((K + 1, len(paths)))
     mass_ls = np.empty((K + 1, len(paths)))
     clamped = np.zeros((K + 1, len(paths)))
-    min_val = np.zeros((K + 1, len(paths)))
 
     def at(k, s):
         path = "" if single else f", path {s}"
@@ -146,7 +144,6 @@ def run_filter(
             for j, pv in enumerate(phi_nodes):
                 est[k, s, j] = float(np.dot(w, pv * v)) / m
         mass_ls[k], clamped[k] = fld.log_scale, fld.clamped_mass
-        min_val[k] = fld.values.min(axis=0)
         return m if single else mass_m[k]
 
     mass = record(0, field)
@@ -171,13 +168,12 @@ def run_filter(
         )
         mass = 1.0
 
-    est, mass_m, mass_ls, clamped, min_val = (
-        np.ascontiguousarray(np.swapaxes(a, 0, 1))
-        for a in (est, mass_m, mass_ls, clamped, min_val)
+    est, mass_m, mass_ls, clamped = (
+        np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (est, mass_m, mass_ls, clamped)
     )
     labels = tuple(phi.label for phi in test_functions)
     outs = [
-        FilterOutput(schedule, labels, est[s], mass_m[s], mass_ls[s], clamped[s], min_val[s])
+        FilterOutput(schedule, labels, est[s], mass_m[s], mass_ls[s], clamped[s])
         for s in range(len(paths))
     ]
     return outs[0] if single else outs

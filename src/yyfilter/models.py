@@ -245,6 +245,14 @@ def parse_test_function(label: str) -> TestFunction:
     return TestFunction(tuple(int(t[1:]) - 1 for t in tokens))
 
 
+def readout_index(labels: Sequence[str], label: str) -> int:
+    """Position in a run's `labels` of the readout `label` names, in any spelling."""
+    canonical = parse_test_function(label).label
+    if canonical not in labels:
+        raise ValueError(f"readout {label!r} was not recorded; the run has {', '.join(labels)}")
+    return labels.index(canonical)
+
+
 @dataclass(frozen=True)
 class TimeSchedule:
     """Uniform partition of [0, T] into K steps of size dt = T/K.

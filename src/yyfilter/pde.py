@@ -9,16 +9,16 @@ radii).  The generator discretizes
 
 with second-order central differences in conservative form: derivatives
 act on the products a^ij u and f_i u, evaluated at the source node of
-each stencil entry; only nonzero couplings are stored (under a diagonal
-diffusion, 7 of the 19 stencil entries of a 3D interior row), and h is
-kept at the nodes for the exponential update.  A model that declares a
-constant diffusion matrix has a read once, not per node.  Time stepping is
+each stencil entry; the generator is stored as one band per coupled stencil
+offset (scipy DIA; 7 of the 19 offsets in 3D under a diagonal diffusion),
+and h is kept at the nodes for the exponential update.  A declared constant
+diffusion matrix has a read once, not per node.  Time stepping is
 Crank-Nicolson, one stage loop for every dimension, one solve per stage:
 (I - c A)^{-1} (I + c A) v = 2 y - v with (I - c A) y = v (implicit midpoint).
 I - c A depends only on the generator and on c = dt / (2 substeps), so it is
 prepared once per generator and step size, on first use: in 1D an LU
-factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the CSR
-matrix and its Jacobi preconditioner for BiCGSTAB at residual 5e-11 in y.
+factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the bands
+of I - c A and their Jacobi preconditioner for BiCGSTAB at residual 5e-11 in y.
 
 Fields carry a log-scale factor: a DensityField represents
 exp(log_scale) * values so the online loop never underflows; integrals
@@ -189,7 +189,9 @@ class _CNSystem(NamedTuple):
 class DiscreteGenerator:
     """Sparse discretization of the per-step evolution operator.
 
-    Rows for boundary nodes are zero (Dirichlet).  `observation` is the
+    `matrix` holds its bands (another sparse format is converted once, on
+    first use); rows for boundary nodes are zero (Dirichlet), so `nnz`
+    counts band cells and `count_nonzero()` couplings.  `observation` is the
     model's h at the nodes, (N, d).  `propagate` prepares the Crank-Nicolson
     system for a step size on first use and keeps it in `_cn`, one slot
     holding the last step size, so a run at fixed dt factors once and the
@@ -197,7 +199,7 @@ class DiscreteGenerator:
     """
 
     grid: Grid
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     observation: np.ndarray
     _cn: Optional[_CNSystem] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
@@ -205,8 +207,8 @@ class DiscreteGenerator:
 def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
     """Assemble the conservative-form generator on interior nodes.
 
-    The canonical CSR result stores only the nonzero stencil couplings:
-    7 of a 3D interior row's 19 under a diagonal diffusion.  Refuses
+    The DIA result holds one band of N cells per coupled stencil offset,
+    ascending: 7 in 3D under a diagonal diffusion, 19 under a full one.  Refuses
     assembly if the diffusion matrix a = g g^T is degenerate (smallest
     eigenvalue <= 1e-14) at any node, or, for a declared constant
     `diffusion_matrix`, once.
@@ -231,47 +233,40 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
             f"(min eigenvalue {eig_min[bad[0]]:.3g}); assembly refused"
         )
 
-    def a_at(nodes, i, j):  # a^ij at the nodes, one scalar when a is constant
-        return a[i, j] if const else a[nodes, i, j]
-
     def coupled(e):  # at most two nonzeros, and two only on axes whose a^ij is nonzero somewhere
         axes = np.flatnonzero(e)
         return axes.size < 2 or (axes.size == 2 and np.any(a[..., axes[0], axes[1]] != 0.0))
 
     strides = np.array([M**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-    interior = np.where(grid.interior_mask)[0]
+    interior = grid.interior_mask
     a_diag = a[..., np.arange(d), np.arange(d)]  # (d,) or (N, d)
 
     # Every interior row has the same stencil: the coupled offsets e in
-    # {-1, 0, 1}^d.  In lexicographic order their columns interior + strides . e
-    # ascend (M >= 3), so each entry fills one column of an
-    # (n_interior, n_stencil) block of canonical CSR rows.
+    # {-1, 0, 1}^d, whose column offsets strides . e ascend in lexicographic
+    # order (M >= 3).  Cell j of band o is row j - o's entry, evaluated at
+    # the source node j, so a band is one expression over all nodes.
     stencil = np.array([e for e in itertools.product((-1, 0, 1), repeat=d) if coupled(e)])
-    data = np.empty((interior.size, len(stencil)))
-    for k, e in enumerate(stencil):
-        nb = interior + strides @ e
+    offsets = stencil @ strides
+    bands = np.empty((len(stencil), N))
+    for band, e, o in zip(bands, stencil, offsets):
         axes = np.flatnonzero(e)
         if axes.size == 0:
             # Diagonal: -sum_i a^ii(x)/dx^2 - |h(x)|^2/2.
-            diag = -np.sum(a_diag if const else a_diag[interior], axis=-1) / dx**2
-            data[:, k] = diag - 0.5 * np.sum(h[interior] ** 2, axis=1)
+            band[:] = -np.sum(a_diag, axis=-1) / dx**2 - 0.5 * np.sum(h**2, axis=1)
         elif axes.size == 1:
             # Axis neighbors: second-difference of a^ii u plus central drift flux.
             (ax,) = axes
-            data[:, k] = a_at(nb, ax, ax) / (2 * dx**2) - e[ax] * f[nb, ax] / (2 * dx)
+            band[:] = a[..., ax, ax] / (2 * dx**2) - e[ax] * f[:, ax] / (2 * dx)
         else:
             # Cross terms i < j: full-weight mixed second difference of a^ij u
             # (the 1/2 prefactor cancels against the symmetric (j, i) term).
             i, j = axes
-            data[:, k] = e[i] * e[j] * a_at(nb, i, j) / (4 * dx**2)
-
-    # A coefficient that is exactly 0.0, such as every mixed difference of a
-    # diagonal diffusion, is not stored.  Boundary rows stay empty.
-    keep = data != 0.0
-    indptr = np.zeros(N + 1, dtype=np.int64)
-    indptr[interior + 1] = np.count_nonzero(keep, axis=1)
-    cols = (interior[:, None] + stencil @ strides)[keep]
-    mat = sp.csr_matrix((data[keep], cols, np.cumsum(indptr)), shape=(N, N))
+            band[:] = e[i] * e[j] * a[..., i, j] / (4 * dx**2)
+        # Cells of boundary rows stay zero (Dirichlet).  The roll wraps a cell
+        # whose row lies off the grid onto a row within one stencil reach of
+        # the grid's ends, which is a boundary node too.
+        band[~np.roll(interior, o)] = 0.0
+    mat = sp.dia_matrix((bands, offsets), shape=(N, N))
     return DiscreteGenerator(grid=grid, matrix=mat, observation=h)
 
 
@@ -283,7 +278,7 @@ def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
     cn = gen._cn
     if cn is not None and cn.c == c:
         return cn
-    A = gen.matrix
+    A = gen.matrix.todia()
     if gen.grid.dim == 1:
         *lu, info = lapack.dgttrf(-c * A.diagonal(-1), 1.0 - c * A.diagonal(), -c * A.diagonal(1))
         if info > 0:
@@ -292,7 +287,8 @@ def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
         def solve(v):
             return lapack.dgttrs(*lu, v)[0]
     else:
-        lhs = (sp.identity(A.shape[0], format="csr") - c * A).tocsr()
+        lhs = -c * A
+        lhs.setdiag(1.0 - c * A.diagonal())
         lhs_diag = lhs.diagonal()
         if not np.all(lhs_diag):
             raise SolverError("Crank-Nicolson matrix has a zero diagonal entry")
@@ -327,8 +323,8 @@ def propagate(
     reusing the generator's prepared I - c A while c stays the same.
     Negative undershoot is clamped to zero after the final stage and the
     removed mass is recorded on the result's `clamped_mass`.  A batch
-    field takes one banded solve for all its columns in 1D and one
-    BiCGSTAB solve per column in 2D/3D.
+    field takes one tridiagonal solve for all its columns in 1D and one
+    BiCGSTAB solve per column on the bands of I - c A in 2D/3D.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -28,6 +28,7 @@ from yyfilter.models import (
     TimeSchedule,
     builtin_model,
     coordinate,
+    coordinate_product,
     _std_normal_density,
 )
 from yyfilter.pde import build_grid
@@ -133,6 +134,23 @@ def test_kalman_column_reads_the_moments():
     assert_array_equal(res.column("x2^2"), mu[:, 1] ** 2 + cov[:, 1, 1])
     assert_array_equal(res.column("x1*x2"), mu[:, 0] * mu[:, 1] + cov[:, 0, 1])
     assert_array_equal(res.column("x2*x1"), res.column("x1*x2"))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_every_oracle_reads_a_label_in_any_spelling(name):
+    m = builtin_model("linearNd")
+    sched = TimeSchedule(0.1, 5)
+    _, obs = simulate(m, sched, seed=4)
+    phis = [coordinate(0), coordinate_product(0, 1)]
+    (res,) = ORACLES[name](m, build_grid(2, 4.0, 15), sched, [obs], phis, [4], 2, 50)
+    readers = [res.column] + ([res.stderr_column] if hasattr(res, "stderr_column") else [])
+    for read in readers:
+        assert read("x1*x2").shape == (sched.steps + 1,)
+        assert_array_equal(read("x2*x1"), read("x1*x2"))
+        assert_array_equal(read(" x1 * x02 "), read("x1*x2"))
+        if name != "kalman":  # the Kalman moments cover every readout
+            with pytest.raises(ValueError, match=r"'x2\^2' was not recorded"):
+                read("x2^2")
 
 
 def test_kalman_path_batch_matches_one_path_at_a_time():

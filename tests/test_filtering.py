@@ -233,7 +233,6 @@ def test_diagnostics_recorded(small_setup):
     out = run_filter(model, grid, schedule, obs, [ONE])
     assert np.all(np.isfinite(out.mass_mantissa))
     assert np.all(out.mass_mantissa > 0)
-    assert np.all(out.min_value >= 0.0)
     assert np.all(out.clamped_mass >= 0.0)
 
 
@@ -288,8 +287,7 @@ def test_path_batch_matches_one_path_at_a_time(dim, points, steps):
     assert set(seen) == {(grid.n_nodes, 3)}
     for path, out in zip(obs, batch):
         one = run_filter(model, grid, schedule, path, phis, substeps=2, generator=gen)
-        for name in ("estimates", "mass_mantissa", "mass_log_scale", "clamped_mass",
-                     "min_value"):
+        for name in ("estimates", "mass_mantissa", "mass_log_scale", "clamped_mass"):
             assert np.array_equal(getattr(out, name), getattr(one, name)), name
 
 
