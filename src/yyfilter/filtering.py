@@ -112,8 +112,8 @@ def run_filter(
     if str(gen.grid) != str(grid):
         raise ValueError(f"generator was assembled on {gen.grid}, not on the filter's {grid}")
     field = discretize_initial(model, grid)
+    S = len(paths)
     if not single:  # one column per path
-        S = len(paths)
         field = DensityField(
             grid, np.repeat(field.values[:, None], S, axis=1), np.zeros(S), np.zeros(S)
         )
@@ -122,36 +122,36 @@ def run_filter(
 
     K = schedule.steps
     dt = schedule.dt
-    # indexed [knot, path, ...] in the loop; split into one array per path at the end
-    est = np.empty((K + 1, len(paths), len(test_functions)))
-    mass_m = np.empty((K + 1, len(paths)))
-    mass_ls = np.empty((K + 1, len(paths)))
-    clamped = np.zeros((K + 1, len(paths)))
+    # one entry per knot in the loop; split into one array per path at the end
+    est, mass_m, mass_ls, clamped = [], [], [], []
 
     def at(k, s):
         path = "" if single else f", path {s}"
         return (f"at knot {k} (t={k * dt:g}, dt={dt:g}, substeps={substeps}{path}) "
                 f"on a mesh with dx={grid.spacing:g}")
 
+    any_of = bool if single else np.any  # a check reads a scalar on one path
+
     def record(k, fld):
-        # Path by path, on contiguous rows: a gemv over the batch would sum
-        # in another order than the one-path readout.
-        for s, v in enumerate([fld.values] if single else np.ascontiguousarray(fld.values.T)):
-            m = float(np.dot(w, v))
-            if m < 1e-300:
-                raise MassCollapseError(f"field mass collapsed {at(k, s)}")
-            mass_m[k, s] = m
-            for j, pv in enumerate(phi_nodes):
-                est[k, s, j] = float(np.dot(w, pv * v)) / m
-        mass_ls[k], clamped[k] = fld.log_scale, fld.clamped_mass
-        return m if single else mass_m[k]
+        # The whole batch in one vecdot per readout, on contiguous rows: vecdot
+        # sums each row in the one-path np.dot order, a gemv over the batch would not.
+        rows = fld.values if single else np.ascontiguousarray(fld.values.T)
+        m = np.vecdot(rows, w)
+        low = m < 1e-300
+        if any_of(low):
+            raise MassCollapseError(f"field mass collapsed {at(k, np.argmax(low))}")
+        mass_m.append(m)
+        est.append([np.vecdot(pv * rows, w) / m for pv in phi_nodes])
+        mass_ls.append(fld.log_scale)
+        clamped.append(fld.clamped_mass)
+        return m
 
     mass = record(0, field)
-
+    h = gen.observation
     for k in range(1, K + 1):
         field = propagate(gen, field, dt, substeps)
         over = field.clamped_mass > CLAMP_TOLERANCE * mass
-        if np.count_nonzero(over):
+        if any_of(over):
             s = np.argmax(over)
             raise MassCollapseError(
                 f"clamped negative mass {np.ravel(field.clamped_mass)[s]:.3e} exceeds "
@@ -159,7 +159,7 @@ def run_filter(
             )
         if field_hook is not None:
             field_hook(k, "propagated", field)
-        field = exp_update(field, gen.observation, increments[k - 1])
+        field = exp_update(field, h, increments[k - 1])
         if field_hook is not None:
             field_hook(k, "updated", field)
         mass = record(k, field)
@@ -168,12 +168,13 @@ def run_filter(
         )
         mass = 1.0
 
-    est, mass_m, mass_ls, clamped = (
-        np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (est, mass_m, mass_ls, clamped)
+    est = np.reshape(est, (K + 1, len(test_functions), S)).transpose(2, 0, 1).copy()
+    mass_m, mass_ls, clamped = (
+        np.reshape(a, (K + 1, S)).T.copy() for a in (mass_m, mass_ls, clamped)
     )
     labels = tuple(phi.label for phi in test_functions)
     outs = [
         FilterOutput(schedule, labels, est[s], mass_m[s], mass_ls[s], clamped[s])
-        for s in range(len(paths))
+        for s in range(S)
     ]
     return outs[0] if single else outs

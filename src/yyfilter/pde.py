@@ -154,7 +154,9 @@ class DensityField:
     clamped_mass: float = 0.0
 
     def columns(self) -> list:
-        """The S single fields of a batch, each with contiguous values."""
+        """The S single fields of a batch, each with contiguous values; one field: itself."""
+        if self.values.ndim == 1:
+            return [self]
         rows = np.ascontiguousarray(self.values.T)
         return [
             DensityField(self.grid, v, float(ls), float(cm))
@@ -319,12 +321,14 @@ def propagate(
     """Advance a field by dt with Crank-Nicolson over `substeps` stages.
 
     Each stage solves (I - c A) y = v with c = dt / (2 substeps), to relative
-    residual 5e-11 in 2D/3D, and sets v <- 2 y - v = (I - c A)^{-1} (I + c A) v,
-    reusing the generator's prepared I - c A while c stays the same.
-    Negative undershoot is clamped to zero after the final stage and the
-    removed mass is recorded on the result's `clamped_mass`.  A batch
-    field takes one tridiagonal solve for all its columns in 1D and one
-    BiCGSTAB solve per column on the bands of I - c A in 2D/3D.
+    residual 5e-11 in 2D/3D, and sets v <- 2 y - v = (I - c A)^{-1} (I + c A) v
+    in the solve's own output, so the input field is never written; the
+    generator's prepared I - c A is reused while c stays the same.
+    Negative undershoot is clamped to zero after the final stage, column by
+    column and only when there is any, and the removed mass is recorded on the
+    result's `clamped_mass`.  A batch field takes one tridiagonal solve for all
+    its columns in 1D and one BiCGSTAB solve per column on the bands of I - c A
+    in 2D/3D.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -333,20 +337,22 @@ def propagate(
     cn = _cn_system(gen, dt / (2 * substeps))
     v = np.asarray(field.values, dtype=float)
     for _ in range(substeps):
-        v = 2.0 * cn.solve(v) - v
+        y = cn.solve(v)
+        y *= 2.0
+        y -= v
+        v = y
     if not np.isfinite(v).all():
         raise SolverError("propagation produced non-finite values")
-    w = field.grid.trap_weights
-    cols = v.reshape(len(v), -1)
-    neg = cols < 0
-    clamped = np.zeros(cols.shape[1])
-    for s in np.flatnonzero(neg.any(axis=0)):  # each sum in its one-field order
-        clamped[s] = -np.sum(cols[neg[:, s], s] * w[neg[:, s]])
-        cols[neg[:, s], s] = 0.0
+    clamped = np.zeros(v.shape[1:])
+    if v.min() < 0:
+        w = field.grid.trap_weights
+        cols = v.reshape(len(v), -1)
+        neg = cols < 0
+        for s in np.flatnonzero(neg.any(axis=0)):  # each sum in its one-field order
+            clamped.flat[s] = -np.sum(cols[neg[:, s], s] * w[neg[:, s]])
+            cols[neg[:, s], s] = 0.0
     v[field.grid.boundary_mask] = 0.0
-    return DensityField(
-        field.grid, v, field.log_scale, clamped if v.ndim == 2 else float(clamped[0])
-    )
+    return DensityField(field.grid, v, field.log_scale, clamped if v.ndim == 2 else float(clamped))
 
 
 def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityField:
@@ -354,21 +360,31 @@ def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityFie
 
     `h` is the (N, d) table of h at the nodes, `DiscreteGenerator.observation`.
     The maximum of the exponent over the field's support moves into
-    log_scale, so the stored values never exceed their previous size.  A
-    batch field takes one increment per column, `dy` of shape (S, d).
+    log_scale, so the stored values never exceed their previous size.  One
+    field takes `dy` of shape (d,) or (1, d), a batch field one increment per
+    column, (S, d); any other shape raises ValueError.
     """
-    cols = field.values.reshape(len(field.values), -1)
-    dys = np.asarray(dy, dtype=float).reshape(cols.shape[1], -1)
+    vals = field.values
+    dys = np.asarray(dy, dtype=float)
+    d = h.shape[1]
+    if dys.shape not in (((d,), (1, d)) if vals.ndim == 1 else ((vals.shape[1], d),)):
+        raise ValueError(f"observation increment of shape {dys.shape} does not fit a field "
+                         f"of shape {vals.shape} with h of shape {h.shape}")
     if not np.isfinite(dys).all():
         raise ValueError("observation increment must be finite")
-    # For d > 1 a gemm over the batch sums h^T dy in another order than the
-    # one-field gemv, so the exponent is built column by column.
-    expo = h @ dys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in dys])
-    shift = expo.max(axis=0, where=cols > 0, initial=-np.inf)
-    shift[shift == -np.inf] = 0.0  # no support: no shift
+    if vals.ndim == 1:
+        # For d = 1 the product is the inner-dimension-1 matmul's, bit for bit.
+        expo = h[:, 0] * dys.item(0) if d == 1 else h @ dys.reshape(d)
+        shift = expo.max(where=vals > 0, initial=-np.inf)
+        shift = 0.0 if shift == -np.inf else shift  # no support: no shift
+    else:
+        # For d > 1 a gemm over the batch sums h^T dy in another order than the
+        # one-field gemv, so the exponent is built column by column.
+        expo = h @ dys.T if d == 1 else np.column_stack([h @ y for y in dys])
+        shift = expo.max(axis=0, where=vals > 0, initial=-np.inf)
+        shift[shift == -np.inf] = 0.0
     expo -= shift
-    vals = np.multiply(np.exp(expo, out=expo), cols, out=expo).reshape(field.values.shape)
-    shift = shift.reshape(field.values.shape[1:])
+    vals = np.multiply(np.exp(expo, out=expo), vals, out=expo)
     return DensityField(field.grid, vals, field.log_scale + shift, field.clamped_mass)
 
 

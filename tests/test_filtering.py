@@ -218,6 +218,21 @@ def test_field_hook_sees_both_stages(small_setup):
     ]
 
 
+@pytest.mark.parametrize("paths", [1, 2])
+def test_fields_handed_to_the_hook_keep_their_values(small_setup, paths):
+    # The L4 check and radius_sweep read fields inside hooks; renormalizing
+    # or propagating in place would rewrite what they were handed.
+    model, grid, _, _ = small_setup
+    sched = TimeSchedule(0.1, 5)
+    obs = [ys for _, ys in simulate(model, sched, seed=list(range(paths)))]
+    seen = []
+    run_filter(model, grid, sched, obs[0] if paths == 1 else obs, [ONE],
+               field_hook=lambda k, stage, f: seen.append((f, f.values.copy())))
+    assert len(seen) == 10
+    for f, values in seen:
+        np.testing.assert_array_equal(f.values, values)
+
+
 def test_output_csv_schema(small_setup):
     model, grid, schedule, obs = small_setup
     out = run_filter(model, grid, schedule, obs, [coordinate(0), squared_coordinate(0)])
@@ -273,18 +288,24 @@ def test_3d_filter_batch_tracks_kalman():
         assert np.mean(np.abs(out.estimates[1:] - kal.means[1:])) < 5e-3
 
 
-@pytest.mark.parametrize("dim, points, steps", [(1, 121, 40), (2, 31, 10)])
-def test_path_batch_matches_one_path_at_a_time(dim, points, steps):
+@pytest.mark.parametrize("dim, radius, points, dt, steps, seeds", [
+    pytest.param(1, 4.0, 121, 0.02, 40, [1, 2, 3], id="1-121-40"),
+    pytest.param(1, 4.0, 121, 0.02, 40, [1], id="1-121-40-one-path"),
+    pytest.param(2, 4.0, 31, 0.02, 10, [1, 2, 3], id="2-31-10"),
+    # Coarser or wider-stepped 3D runs trip the clamp guard at knot 1.
+    pytest.param(3, 6.0, 21, 0.001, 4, [1, 2, 3], id="3-21-4"),
+])
+def test_path_batch_matches_one_path_at_a_time(dim, radius, points, dt, steps, seeds):
     model = builtin_model("linear1d") if dim == 1 else builtin_model("linearNd", dim=dim)
-    grid = build_grid(dim, 4.0, points)
+    grid = build_grid(dim, radius, points)
     gen = assemble_generator(model, grid)
-    schedule = TimeSchedule(0.02 * steps, steps)
-    obs = [ys for _, ys in simulate(model, schedule, substeps=2, seed=[1, 2, 3])]
+    schedule = TimeSchedule(dt * steps, steps)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=2, seed=seeds)]
     phis = [coordinate(0), squared_coordinate(dim - 1)]
     seen = []
     batch = run_filter(model, grid, schedule, obs, phis, substeps=2, generator=gen,
                        field_hook=lambda k, stage, f: seen.append(f.values.shape))
-    assert set(seen) == {(grid.n_nodes, 3)}
+    assert set(seen) == {(grid.n_nodes, len(seeds))}
     for path, out in zip(obs, batch):
         one = run_filter(model, grid, schedule, path, phis, substeps=2, generator=gen)
         for name in ("estimates", "mass_mantissa", "mass_log_scale", "clamped_mass"):

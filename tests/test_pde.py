@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -709,6 +710,37 @@ def test_batch_clamp_is_per_column():
         assert col.clamped_mass == single.clamped_mass
 
 
+def test_single_field_columns_is_the_field_itself(grid_1d_fine):
+    field = _gaussian_field(grid_1d_fine, 1.0)
+    assert field.columns() == [field]
+
+
+@pytest.mark.parametrize("name, dim, points, paths, substeps", [
+    ("cubic_sensor", None, 241, 0, 1),  # one substep: the prior undershoots, so the clamp runs
+    ("cubic_sensor", None, 241, 2, 1),
+    ("linearNd", 2, 31, 0, 2),
+])
+def test_propagate_and_exp_update_leave_the_input_field_untouched(name, dim, points, paths,
+                                                                   substeps):
+    m = builtin_model(name, dim)
+    g = build_grid(m.dim, 6.0, points)
+    gen = assemble_generator(m, g)
+    field = discretize_initial(m, g)
+    dy = np.full(m.dim, 0.3)
+    if paths:
+        field = DensityField(g, np.column_stack([field.values, np.roll(field.values, 20)]),
+                             np.zeros(paths), np.zeros(paths))
+        dy = np.full((paths, m.dim), 0.3)
+    before = field.values.copy()
+    moved = propagate(gen, field, 0.01, substeps)
+    np.testing.assert_array_equal(field.values, before)
+    if name == "cubic_sensor":
+        assert np.all(moved.clamped_mass > 0)
+    after_move = moved.values.copy()
+    exp_update(moved, gen.observation, dy)
+    np.testing.assert_array_equal(moved.values, after_move)
+
+
 @pytest.mark.parametrize("name, dim, points", [("linear1d", 1, 121), ("linearNd", 2, 31)])
 def test_cn_factors_follow_step_size(name, dim, points):
     # dt, then dt', then dt again on one generator: every step must use
@@ -807,6 +839,21 @@ def test_exp_update_rejects_nonfinite(linear1d, grid_1d_fine):
     field = discretize_initial(linear1d, grid_1d_fine)
     with pytest.raises(ValueError):
         exp_update(field, linear1d.observation(grid_1d_fine.coords), np.array([np.nan]))
+
+
+@pytest.mark.parametrize("paths, dy_shape", [
+    (0, (2,)),  # two increments for one d = 1 field
+    (3, (2, 1)),  # two increments for a 3-column batch
+])
+def test_exp_update_names_a_mismatched_increment(linear1d, grid_1d_fine, paths, dy_shape):
+    field = discretize_initial(linear1d, grid_1d_fine)
+    if paths:
+        field = DensityField(grid_1d_fine, np.repeat(field.values[:, None], paths, axis=1),
+                             np.zeros(paths), np.zeros(paths))
+    named = (rf"increment of shape {re.escape(str(dy_shape))} .* "
+             rf"field of shape {re.escape(str(field.values.shape))}")
+    with pytest.raises(ValueError, match=named):
+        exp_update(field, linear1d.observation(grid_1d_fine.coords), np.zeros(dy_shape))
 
 
 def test_integrate_constant_on_interval():
