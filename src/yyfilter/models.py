@@ -305,8 +305,12 @@ def _cubic_obs(points):
 
 
 def _std_normal_density(points):
-    d = points.shape[1]
-    return np.exp(-0.5 * np.sum(points**2, axis=1)) / (2 * math.pi) ** (d / 2)
+    d = points.shape[1]  # |x|^2 in one array, column by column as np.sum(x**2, axis=1) adds
+    out = points[:, 0] * points[:, 0]
+    for k in range(1, d):
+        out += points[:, k] * points[:, k]
+    out *= -0.5
+    return np.divide(np.exp(out, out=out), (2 * math.pi) ** (d / 2), out=out)
 
 
 def _std_normal_sampler(rng, n, d=1):

@@ -71,23 +71,23 @@ class Grid:
     def n_nodes(self) -> int:
         return self.points_per_axis**self.dim
 
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return ~self.boundary_mask
-
     def __str__(self) -> str:
         """The grid's defining parameters; two grids with equal strings are equal."""
         return f"grid(dim={self.dim}, radius={self.radius!r}, points={self.points_per_axis})"
 
 
 def build_grid(dim: int, radius: float, points: int) -> Grid:
-    """Uniform tensor grid with M nodes per axis, M odd so the origin is a node."""
+    """Uniform tensor grid with M nodes per axis, M odd so the origin is a node.
+
+    Each array is filled in place, one axis at a time from broadcast views of
+    `axis`; node radii sum x_k x_k in axis order, as np.linalg.norm does.
+    """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if points < 3:
-        raise ValueError("points per axis must be >= 3")
+    if not 0 < 2 * radius < np.inf:  # the axis spans 2R, which must be finite too
+        raise ValueError(f"radius must be positive and finite, not {radius!r}")
+    if not isinstance(points, (int, np.integer)) or points < 3:
+        raise ValueError(f"points per axis must be an integer >= 3, not {points!r}")
     if points % 2 == 0:
         raise ValueError("points per axis must be odd so the origin is a node")
 
@@ -95,16 +95,19 @@ def build_grid(dim: int, radius: float, points: int) -> Grid:
     axis[(points - 1) // 2] = 0.0  # exact origin; endpoints are exact already
     spacing = 2 * radius / (points - 1)
 
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    coords = np.stack(mesh, axis=-1).reshape(-1, dim)
-
     idx = np.arange(points)
     edge = (idx == 0) | (idx == points - 1)
+    coords = np.empty((points,) * dim + (dim,))
+    radii = np.zeros((points,) * dim)
     bmask = np.zeros((points,) * dim, dtype=bool)
     for ax in range(dim):
         shape = [1] * dim
         shape[ax] = points
+        x = axis.reshape(shape)
+        coords[..., ax] = x
+        radii += x * x
         bmask |= edge.reshape(shape)
+    np.sqrt(radii, out=radii)
 
     w1 = np.full(points, spacing)
     w1[[0, -1]] = spacing / 2
@@ -118,10 +121,10 @@ def build_grid(dim: int, radius: float, points: int) -> Grid:
         points_per_axis=points,
         spacing=spacing,
         axis=axis,
-        coords=coords,
+        coords=coords.reshape(-1, dim),
         boundary_mask=bmask.reshape(-1),
         trap_weights=w.reshape(-1),
-        node_radii=np.linalg.norm(coords, axis=1),
+        node_radii=radii.reshape(-1),
     )
 
 
@@ -135,7 +138,10 @@ def mollifier(grid: Grid) -> np.ndarray:
     if R <= 1:
         raise ValueError("mollifier requires R > 1 so that R - 1/R > 0")
     t = np.clip((R - grid.node_radii) * R, 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    ramp = (t > 0.0) & (t < 1.0)  # s(0) = 0 and s(1) = 1 exactly, so t holds them already
+    tr = t[ramp]
+    t[ramp] = tr**3 * (10.0 - 15.0 * tr + 6.0 * tr**2)
+    return t
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ class DensityField:
 
 def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:
     """Initial field sigma0 * S_R on the grid, zero on the boundary."""
-    vals = np.asarray(model.initial_density(grid.coords), dtype=float) * mollifier(grid)
+    vals = mollifier(grid)  # the product is formed in this array; it commutes bit for bit
+    vals *= np.asarray(model.initial_density(grid.coords), dtype=float)
     vals[grid.boundary_mask] = 0.0
     if not np.any(vals > 0):
         raise ValueError(
@@ -210,7 +217,9 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
     """Assemble the conservative-form generator on interior nodes.
 
     The DIA result holds one band of N cells per coupled stencil offset,
-    ascending: 7 in 3D under a diagonal diffusion, 19 under a full one.  Refuses
+    ascending: 7 in 3D under a diagonal diffusion, 19 under a full one.  Each
+    band is computed in its own row with `out=`, |h|^2 column by column, and
+    the cells of boundary rows are zeroed by index.  Refuses
     assembly if the diffusion matrix a = g g^T is degenerate (smallest
     eigenvalue <= 1e-14) at any node, or, for a declared constant
     `diffusion_matrix`, once.
@@ -240,7 +249,7 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
         return axes.size < 2 or (axes.size == 2 and np.any(a[..., axes[0], axes[1]] != 0.0))
 
     strides = np.array([M**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-    interior = grid.interior_mask
+    boundary = np.flatnonzero(grid.boundary_mask)
     a_diag = a[..., np.arange(d), np.arange(d)]  # (d,) or (N, d)
 
     # Every interior row has the same stencil: the coupled offsets e in
@@ -253,21 +262,27 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
     for band, e, o in zip(bands, stencil, offsets):
         axes = np.flatnonzero(e)
         if axes.size == 0:
-            # Diagonal: -sum_i a^ii(x)/dx^2 - |h(x)|^2/2.
-            band[:] = -np.sum(a_diag, axis=-1) / dx**2 - 0.5 * np.sum(h**2, axis=1)
+            # Diagonal: -sum_i a^ii(x)/dx^2 - |h(x)|^2/2, |h|^2 summed column by column.
+            np.multiply(h[:, 0], h[:, 0], out=band)
+            for k in range(1, d):
+                band += h[:, k] * h[:, k]
+            band *= 0.5
+            np.subtract(-np.sum(a_diag, axis=-1) / dx**2, band, out=band)
         elif axes.size == 1:
             # Axis neighbors: second-difference of a^ii u plus central drift flux.
             (ax,) = axes
-            band[:] = a[..., ax, ax] / (2 * dx**2) - e[ax] * f[:, ax] / (2 * dx)
+            np.multiply(e[ax], f[:, ax], out=band)
+            band /= 2 * dx
+            np.subtract(a[..., ax, ax] / (2 * dx**2), band, out=band)
         else:
             # Cross terms i < j: full-weight mixed second difference of a^ij u
             # (the 1/2 prefactor cancels against the symmetric (j, i) term).
             i, j = axes
             band[:] = e[i] * e[j] * a[..., i, j] / (4 * dx**2)
-        # Cells of boundary rows stay zero (Dirichlet).  The roll wraps a cell
-        # whose row lies off the grid onto a row within one stencil reach of
-        # the grid's ends, which is a boundary node too.
-        band[~np.roll(interior, o)] = 0.0
+        # Cells of boundary rows stay zero (Dirichlet): cell j holds row j - o.
+        # The wrap sends a cell whose row lies off the grid to one within one
+        # stencil reach of the grid's ends, which is a boundary cell too.
+        band[(boundary + o) % N] = 0.0
     mat = sp.dia_matrix((bands, offsets), shape=(N, N))
     return DiscreteGenerator(grid=grid, matrix=mat, observation=h)
 

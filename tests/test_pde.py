@@ -73,7 +73,7 @@ def test_grid_2d_counts():
     g = build_grid(2, 1.0, 3)
     assert g.n_nodes == 9
     assert g.boundary_mask.sum() == 8
-    assert g.interior_mask.sum() == 1
+    assert (~g.boundary_mask).sum() == 1
 
 
 def test_grid_3d_count():
@@ -90,6 +90,39 @@ def test_grid_validation():
         build_grid(1, 1.0, 6)
     with pytest.raises(ValueError):
         build_grid(1, 1.0, 1)
+
+
+@pytest.mark.parametrize("radius, points, named", [
+    (float("nan"), 11, "radius"),
+    (float("inf"), 11, "radius"),
+    (1e308, 11, "radius"),
+    (6.0, 11.0, "points per axis"),
+])
+def test_grid_refuses_non_finite_radius_and_non_integer_points(radius, points, named):
+    with pytest.raises(ValueError, match=named):
+        build_grid(1, radius, points)
+
+
+@pytest.mark.parametrize(
+    "dim, radius, points", [(1, 6.0, 241), (1, 2.0, 61), (2, 4.5, 31), (3, 6.0, 21)]
+)
+def test_plan_arrays_equal_their_reference_constructions(dim, radius, points):
+    # The grid, the mollifier and the registry's initial field are built in
+    # place; each equals its one-expression construction bit for bit.
+    g = build_grid(dim, radius, points)
+    mesh = np.meshgrid(*([g.axis] * dim), indexing="ij")
+    coords = np.stack(mesh, axis=-1).reshape(-1, dim)
+    assert coords.tobytes() == g.coords.tobytes()
+    assert np.linalg.norm(coords, axis=1).tobytes() == g.node_radii.tobytes()
+    R = g.radius
+    t = np.clip((R - g.node_radii) * R, 0.0, 1.0)
+    cutoff = t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    assert cutoff.tobytes() == mollifier(g).tobytes()
+    x = g.coords
+    ref = np.exp(-0.5 * np.sum(x**2, axis=1)) / (2 * math.pi) ** (dim / 2) * cutoff
+    ref[g.boundary_mask] = 0.0
+    model = builtin_model("linearNd", dim) if dim > 1 else builtin_model("linear1d")
+    assert ref.tobytes() == discretize_initial(model, g).values.tobytes()
 
 
 def test_grid_boundary_is_extreme_coordinate():
@@ -242,25 +275,34 @@ def test_divergence_columns_conserve_mass():
 
 def test_assembly_and_cn_preparation_stay_within_their_memory_bounds():
     # Transient peaks under tracemalloc on 41^3, in node arrays (8 N bytes),
-    # measured at 17.3 for assembly (7 bands, the drift and h tables,
-    # temporaries) and 9.3 for preparing I - c A (7 bands, its diagonal and
-    # inverse diagonal); the bounds sit 16% and 19% above.
+    # measured at 5.4 for the grid (coords, radii, weights, mask), 3.0 for the
+    # initial field (it, the density, one temporary), 14.2 for assembly
+    # (7 bands, the drift and h tables, one temporary) and 9.3 for preparing
+    # I - c A (7 bands, its diagonal and inverse diagonal); the bounds sit 11%,
+    # 17%, 16% and 19% above.
     m = builtin_model("linearNd", 3)
-    g = build_grid(3, 6.0, 41)
-    field = discretize_initial(m, g)
-    unit = 8 * g.n_nodes
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        gen = assemble_generator(m, g)
-        assembly = (tracemalloc.get_traced_memory()[1] - start) / unit
+    unit = 8 * 41**3
+    peaks = []
+
+    def peak(fn):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        cn = _cn_system(gen, 0.01 / 2)  # what propagate prepares on first use
-        preparation = (tracemalloc.get_traced_memory()[1] - start) / unit
+        out = fn()
+        peaks.append((tracemalloc.get_traced_memory()[1] - start) / unit)
+        return out
+
+    tracemalloc.start()
+    try:
+        g = peak(lambda: build_grid(3, 6.0, 41))
+        field = peak(lambda: discretize_initial(m, g))
+        gen = peak(lambda: assemble_generator(m, g))
+        cn = peak(lambda: _cn_system(gen, 0.01 / 2))  # what propagate prepares on first use
     finally:
         tracemalloc.stop()
-    assert assembly <= 20.0
+    grid, initial, assembly, preparation = peaks
+    assert grid <= 6.0
+    assert initial <= 3.5
+    assert assembly <= 16.5
     assert preparation <= 11.0
     propagate(gen, field, 0.01, 1)
     assert gen._cn is cn
@@ -450,7 +492,7 @@ def _reference_generator(model, grid):
     f = np.asarray(model.drift(grid.coords), dtype=float)
     h = np.asarray(model.observation(grid.coords), dtype=float)
     strides = np.array([M**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-    interior = np.where(grid.interior_mask)[0]
+    interior = np.where(~grid.boundary_mask)[0]
     a_diag = a[:, np.arange(d), np.arange(d)]
     rows, cols = [interior], [interior]
     data = [-np.sum(a_diag[interior], axis=1) / dx**2 - 0.5 * np.sum(h[interior] ** 2, axis=1)]
