@@ -7,6 +7,7 @@ ORACLES           the one table of oracles: a name maps to one call over a batch
                   of paths.  `yyfilter baseline` takes the names in BASELINES,
                   the dt sweep those in SWEEP_ORACLES; `fine_oracle` is the grid
                   filter on the mesh refined twice per axis.
+agreement         one path's mean |estimate - reference| and share within 3 se
 
 All are deterministic given their seeds.  Particle estimators report
 delta-method standard errors alongside the estimates.  The two particle
@@ -395,3 +396,12 @@ ORACLES = {
 BASELINES = ("kalman", "bootstrap_pf", "ks_monte_carlo")
 SWEEP_ORACLES = ("kalman", "fine_oracle")
 LINEAR_ORACLES = ("kalman",)  # refused, before any compute, on a model not declared linear
+
+
+def agreement(estimates: np.ndarray, reference: np.ndarray, stderr=None) -> tuple:
+    """One path's mean |estimates - reference| over knots 1..K (knot 0 is the prior)
+    and, given the reference's standard errors (each floored at 1e-12), the share
+    of those knots within 3 of them; the share is None without standard errors."""
+    gap = np.abs(estimates[1:] - reference[1:])
+    share = None if stderr is None else np.mean(gap <= 3 * np.maximum(stderr[1:], 1e-12))
+    return gap.mean(), share

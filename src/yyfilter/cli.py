@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import LINEAR_ORACLES, ORACLES, ParticleResult
+from .baselines import LINEAR_ORACLES, ORACLES, ParticleResult, agreement
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import check_dt_levels, convergence_sweep, radius_sweep
 from .filtering import run_filter
@@ -85,14 +85,15 @@ def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
     outs = run_filter(model, grid, schedule, obs, phis[:1], substeps=cfg.substeps)
     results = ORACLES[cfg.baseline](model, grid, schedule, obs, phis, cfg.seeds, cfg.substeps,
                                     cfg.particles)
-    gaps = [np.abs(out.estimates[1:, 0] - res.column(label)[1:])
-            for out, res in zip(outs, results)]
-    table = {"seed": [str(s) for s in cfg.seeds], "mean_abs_gap": [g.mean() for g in gaps]}
-    if isinstance(results[0], ParticleResult):
-        table["frac_within_3se"] = [
-            np.mean(g <= 3 * np.maximum(res.stderr_column(label)[1:], 1e-12))
-            for g, res in zip(gaps, results)
-        ]
+    particle = isinstance(results[0], ParticleResult)
+    gaps, shares = zip(*(
+        agreement(out.estimates[:, 0], res.column(label),
+                  res.stderr_column(label) if particle else None)
+        for out, res in zip(outs, results)
+    ))
+    table = {"seed": [str(s) for s in cfg.seeds], "mean_abs_gap": gaps}
+    if particle:
+        table["frac_within_3se"] = shares
     for seed, res in zip(cfg.seeds, results):
         _write(cfg, out_dir, f"{cfg.baseline}_s{seed}.csv", res.to_csv())
     _write(cfg, out_dir, "agreement.csv", csv_table(list(table), list(table.values())))
@@ -115,14 +116,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         result = convergence_sweep(model, grid, cfg.terminal, cfg.sweep_values, cfg.seeds,
                                    oracle=cfg.oracle, phi=phi, substeps=cfg.substeps)
         lo, hi = cfg.slope_band
-        flags = {
-            "slope_in_band": bool(
-                not np.isnan(result.slope) and lo <= result.slope <= hi
-            ),
-            "monotone": bool(
-                np.all(np.diff(result.mean_err) <= result.stderr[:-1] + result.stderr[1:])
-            ),
-        }
+        flags = {"slope_in_band": bool(not np.isnan(result.slope) and lo <= result.slope <= hi)}
+        monotone = "monotone"
     else:
         result = radius_sweep(
             model,
@@ -133,15 +128,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             phi=phi,
             substeps=cfg.substeps,
         )
-        flags = {
-            "error_monotone_in_R": bool(
-                np.all(np.diff(result.mean_err) <= result.stderr[:-1] + result.stderr[1:])
-            ),
-            "tail_monotone_in_R": bool(
-                np.all(np.diff(result.extras["tail_mass"]) <= 1e-12)
-            ),
-        }
-
+        flags = {"tail_monotone_in_R": bool(np.all(np.diff(result.extras["tail_mass"]) <= 1e-12))}
+        monotone = "error_monotone_in_R"
+    # no error exceeds the one before it by more than their two standard errors
+    flags[monotone] = bool(
+        np.all(np.diff(result.mean_err) <= result.stderr[:-1] + result.stderr[1:])
+    )
     _write(cfg, out_dir, "sweep.csv", result.to_csv())
     summary = result.summary_json(**flags)
     _write(cfg, out_dir, "summary.json", summary + "\n")

@@ -12,9 +12,10 @@ radius_sweep                  estimate drift and tail mass across domain radii
 Expectations over observation paths are Monte-Carlo averages over
 simulated (state, observation) pairs with reported standard errors; the
 one-step exponential-moment check draws its Gaussian increments directly.
-Every seed's path goes through one batched simulation and one batched
-filter run per level, so sweeps are reproducible bit-for-bit from their
-seed lists.
+The sweeps and the L4 check simulate every seed's path once and run one
+batched filter per level (a knot stride plus a generator), and the sweeps
+score each path with baselines.agreement, so they are reproducible
+bit-for-bit from their seed lists.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .baselines import LINEAR_ORACLES, ORACLES, SWEEP_ORACLES
+from .baselines import LINEAR_ORACLES, ORACLES, SWEEP_ORACLES, agreement
 from .filtering import DEFAULT_SUBSTEPS, run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
 from .pde import (
@@ -116,33 +118,30 @@ def l4_stability_check(
     """
     if len(schedules) < 2:
         raise ValueError("need at least 2 schedules related by dt-halving")
-    steps = [s.steps for s in schedules]
-    if sorted(steps) != steps or any(
-        steps[i + 1] != 2 * steps[i] for i in range(len(steps) - 1)
-    ):
+    terminals = [s.terminal for s in schedules]
+    if len(set(terminals)) > 1:
+        raise ValueError(f"schedules must share one terminal time, not {terminals}")
+    if any(b.steps != 2 * a.steps for a, b in zip(schedules, schedules[1:])):
         raise ValueError("schedules must double their step counts (dt halving)")
     if len(obs_seeds) < 10:
         raise ValueError("need at least 10 seeds")
 
     gen = assemble_generator(model, grid)
     finest = schedules[-1]
-    obs_fine = [ys for _, ys in simulate(model, finest, substeps=_PATH_SUBSTEPS, seed=obs_seeds)]
-    sup_l2, sup_l4 = [], []
-    for sched in schedules:
-        obs = [subsample(o, finest.steps // sched.steps) for o in obs_fine]
-        norms = []  # per knot, per seed: the log norms of the pre-update field
+    paths = [ys for _, ys in simulate(model, finest, substeps=_PATH_SUBSTEPS, seed=obs_seeds)]
+    strides = [finest.steps // s.steps for s in schedules]
+    norms = [[] for _ in schedules]  # per level, knot and seed: the pre-update log norms
 
-        def hook(k, stage, fld):
-            if stage == "propagated":
-                norms.append([_reconstructed_log_norms(f, gen.observation, o.values[k - 1])
-                              for f, o in zip(fld.columns(), obs)])
+    def hook(j, k, stage, fld):
+        if stage == "propagated":
+            prev = (k - 1) * strides[j]  # knot k - 1 of level j, on the simulated schedule
+            norms[j].append([_reconstructed_log_norms(f, gen.observation, p.values[prev])
+                             for f, p in zip(fld.columns(), paths)])
 
-        run_filter(model, grid, sched, obs, (), substeps=substeps, generator=gen,
-                   field_hook=hook)
-        # (steps, seeds, 2): the largest over knots of the seed means
-        l2, l4 = np.max(logsumexp(np.array(norms), axis=1), axis=0) - math.log(len(obs_seeds))
-        sup_l2.append(math.exp(l2))
-        sup_l4.append(math.exp(l4))
+    _run_levels(model, paths, [(stride, gen) for stride in strides], (), substeps, hook)
+    # per level, (steps, seeds, 2) log norms: the largest over knots of the seed means
+    logs = [np.max(logsumexp(np.array(n), axis=1), axis=0) - math.log(len(paths)) for n in norms]
+    sup_l2, sup_l4 = ([math.exp(v[i]) for v in logs] for i in (0, 1))
 
     def spread(vals):
         return max(vals) / min(vals) - 1.0
@@ -307,9 +306,33 @@ _ORACLE_REFINE = 4
 _PATH_SUBSTEPS = 2
 
 
+def _run_levels(model: FilterModel, paths: Sequence, levels, test_functions, substeps: int,
+                hook=None) -> list:
+    """Per level (stride, generator): one FilterOutput per path, from one batched
+    run of the paths, subsampled to every stride-th knot, on the generator's
+    grid.  `hook(j, k, stage, field)` is run_filter's field hook told level j."""
+    runs = []
+    for j, (stride, gen) in enumerate(levels):
+        obs = [subsample(p, stride) for p in paths]
+        runs.append(run_filter(model, gen.grid, obs[0].schedule, obs, test_functions,
+                               substeps=substeps, generator=gen,
+                               field_hook=None if hook is None else partial(hook, j)))
+    return runs
+
+
+def _refuse_unless_positive(what: str, values: Sequence[float]) -> None:
+    for v in values:
+        if not 0 < v < math.inf:
+            raise ValueError(f"{what} {v!r} is not a positive finite number")
+
+
 def check_dt_levels(terminal: float, deltas: Sequence[float]) -> None:
-    """Raise ValueError unless every dt divides the terminal time, is a multiple
-    of the finest dt, and gives a step count no other dt gives."""
+    """Raise ValueError unless there is a dt, and every dt is positive, finite,
+    divides the terminal time, is a multiple of the finest, and gives a step
+    count no other dt gives."""
+    if not len(deltas):
+        raise ValueError("need at least 1 dt, not an empty list")
+    _refuse_unless_positive("dt", deltas)
     finest = min(deltas)
     for d in deltas:
         ratio = d / finest
@@ -320,10 +343,13 @@ def check_dt_levels(terminal: float, deltas: Sequence[float]) -> None:
 
 
 def check_radius_levels(radii: Sequence[float], dx: float) -> None:
-    """Raise ValueError unless there are at least two radii, each an integer
-    multiple of the grid spacing dx that gives a node count no other gives."""
+    """Raise ValueError unless dx is positive and finite, and there are at least
+    two radii, each an integer multiple of dx that gives a node count no other
+    gives."""
+    _refuse_unless_positive("grid spacing", [dx])
     if len(radii) < 2:
         raise ValueError("need at least 2 radii")
+    _refuse_unless_positive("radius", radii)
     for R in radii:
         if abs(R / dx - round(R / dx)) > 1e-9:
             raise ValueError(f"radius {R!r} is not an integer multiple of the grid spacing {dx!r}")
@@ -352,11 +378,10 @@ def convergence_sweep(
     _ORACLE_REFINE, with _PATH_SUBSTEPS Euler substeps per knot, and
     subsampled to every coarser level; the oracle (near-exact reference,
     one of SWEEP_ORACLES) is computed once at that simulation resolution
-    and read at coarse knots.  The paths of all
-    seeds run as one batch: one simulation, one oracle run, and one
-    filter run per dt.  Returns per-dt means with standard errors over
-    seeds (at least two) and the fitted log-log slope (NaN, flagged in
-    the summary, when fewer than three levels are given).
+    and read at coarse knots, in one oracle run over the batch of paths.
+    Returns per-dt means with standard errors over seeds (at least two)
+    and the fitted log-log slope (NaN, flagged in the summary, when fewer
+    than three levels are given).
     """
     deltas = sorted(float(d) for d in deltas)[::-1]  # descending
     if oracle not in SWEEP_ORACLES:
@@ -371,35 +396,22 @@ def convergence_sweep(
 
     k_sim = round(terminal / finest) * _ORACLE_REFINE
     sim_sched = TimeSchedule(terminal, k_sim)
-    obs_fine = [ys for _, ys in simulate(model, sim_sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
+    paths = [ys for _, ys in simulate(model, sim_sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
     refs = [res.column(phi.label) for res in ORACLES[oracle](
-        model, grid, sim_sched, obs_fine, (phi,), seeds, substeps, None)]
+        model, grid, sim_sched, paths, (phi,), seeds, substeps, None)]
 
     gen = assemble_generator(model, grid)
-    mean_err = np.empty(len(deltas))
-    stderr = np.empty(len(deltas))
-    for j, dt in enumerate(deltas):
-        stride = k_sim // round(terminal / dt)
-        obs = [subsample(o, stride) for o in obs_fine]
-        outs = run_filter(model, grid, obs[0].schedule, obs, (phi,), substeps=substeps,
-                          generator=gen)
-        knot_means = np.array([
-            float(np.mean(np.abs(out.estimates[1:, 0] - ref[::stride][1:])))
-            for out, ref in zip(outs, refs)
-        ])
-        mean_err[j] = float(np.mean(knot_means))
-        stderr[j] = float(np.std(knot_means, ddof=1) / math.sqrt(len(knot_means)))
-
+    strides = [k_sim // round(terminal / dt) for dt in deltas]
+    runs = _run_levels(model, paths, [(stride, gen) for stride in strides], (phi,), substeps)
+    err_matrix = np.array([
+        [agreement(out.estimates[:, 0], ref[::stride])[0] for out, ref in zip(outs, refs)]
+        for stride, outs in zip(strides, runs)
+    ])  # (dts, seeds), C-ordered: the reductions along axis 1 sum each row pairwise
+    mean_err = err_matrix.mean(axis=1)
+    stderr = err_matrix.std(axis=1, ddof=1) / math.sqrt(len(seeds))
     slope, half = _loglog_slope(np.asarray(deltas), mean_err)
-    return SweepResult(
-        axis="dt",
-        values=np.asarray(deltas),
-        mean_err=mean_err,
-        stderr=stderr,
-        n=len(seeds),
-        slope=slope,
-        slope_halfwidth=half,
-    )
+    return SweepResult(axis="dt", values=np.asarray(deltas), mean_err=mean_err, stderr=stderr,
+                       n=len(seeds), slope=slope, slope_halfwidth=half)
 
 
 def radius_sweep(
@@ -416,8 +428,7 @@ def radius_sweep(
     The error curve compares each radius' estimates to the largest-radius
     run on the same path.  The tail curve probes the largest run's fields
     at r = each sweep radius (its own inscribed radius would sit exactly
-    on its Dirichlet nodes), averaged over knots and seeds.  The paths of
-    all seeds run as one batch, one filter run per radius.
+    on its Dirichlet nodes), averaged over knots and seeds.
     """
     radii = sorted(float(r) for r in radii)
     check_radius_levels(radii, dx)
@@ -425,39 +436,26 @@ def radius_sweep(
         raise ValueError("need at least 2 seeds for the standard errors")
     phi = phi if phi is not None else coordinate(0)
 
-    obs = [ys for _, ys in simulate(model, schedule, substeps=_PATH_SUBSTEPS, seed=seeds)]
+    paths = [ys for _, ys in simulate(model, schedule, substeps=_PATH_SUBSTEPS, seed=seeds)]
     probe = np.empty((len(seeds), schedule.steps, len(radii)))
 
-    def hook(k, stage, fld):
-        if stage == "updated":
+    def hook(j, k, stage, fld):
+        if j == len(radii) - 1 and stage == "updated":
             for s, col in enumerate(fld.columns()):
                 probe[s, k - 1] = [tail_mass(col, r) for r in radii]
 
-    est = []  # per radius: (seeds, K)
-    for R in radii:
-        grid = build_grid(model.dim, R, 2 * round(R / dx) + 1)
-        outs = run_filter(model, grid, schedule, obs, (phi,), substeps=substeps,
-                          field_hook=hook if R == radii[-1] else None)
-        est.append([out.estimates[1:, 0] for out in outs])
+    levels = [(1, assemble_generator(model, build_grid(model.dim, R, 2 * round(R / dx) + 1)))
+              for R in radii]
+    runs = _run_levels(model, paths, levels, (phi,), substeps, hook)
     err_matrix = np.array([
-        [float(np.mean(np.abs(e[s] - est[-1][s]))) for e in est] for s in range(len(seeds))
-    ])  # (seeds, radii)
-    tail_matrix = probe.mean(axis=1)
+        [agreement(out.estimates[:, 0], outs[-1].estimates[:, 0])[0] for out in outs]
+        for outs in zip(*runs)
+    ])  # (seeds, radii), C-ordered: the reductions along axis 0 sum each column seed by seed
     mean_err = err_matrix.mean(axis=0)
     stderr = err_matrix.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    slope, half = _loglog_slope(
-        np.asarray(radii[:-1]), np.maximum(mean_err[:-1], 1e-300)
-    )
-    return SweepResult(
-        axis="R",
-        values=np.asarray(radii),
-        mean_err=mean_err,
-        stderr=stderr,
-        n=len(seeds),
-        slope=slope,
-        slope_halfwidth=half,
-        extras={
-            "tail_mass": tail_matrix.mean(axis=0),
-            "tail_stderr": tail_matrix.std(axis=0, ddof=1) / math.sqrt(len(seeds)),
-        },
-    )
+    tail_matrix = probe.mean(axis=1)  # (seeds, radii), C-ordered as err_matrix is
+    extras = {"tail_mass": tail_matrix.mean(axis=0),
+              "tail_stderr": tail_matrix.std(axis=0, ddof=1) / math.sqrt(len(seeds))}
+    slope, half = _loglog_slope(np.asarray(radii[:-1]), np.maximum(mean_err[:-1], 1e-300))
+    return SweepResult(axis="R", values=np.asarray(radii), mean_err=mean_err, stderr=stderr,
+                       n=len(seeds), slope=slope, slope_halfwidth=half, extras=extras)

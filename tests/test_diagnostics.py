@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
+from yyfilter import diagnostics
+from yyfilter.baselines import kalman_filter
 from yyfilter.diagnostics import (
+    _ORACLE_REFINE,
+    _PATH_SUBSTEPS,
     SweepResult,
     convergence_sweep,
     exp_moment_step_check,
@@ -16,8 +21,10 @@ from yyfilter.diagnostics import (
     radius_sweep,
     tail_mass,
 )
-from yyfilter.models import TimeSchedule, builtin_model
+from yyfilter.filtering import run_filter
+from yyfilter.models import TimeSchedule, builtin_model, coordinate
 from yyfilter.pde import DensityField, build_grid, discretize_initial
+from yyfilter.sde import simulate, subsample
 
 
 def _zero_vec(points):
@@ -80,6 +87,20 @@ def test_l4_stability_validates_halving():
             builtin_model("linear1d"),
             grid,
             [TimeSchedule(0.25, 10), TimeSchedule(0.25, 15)],
+            list(range(10)),
+        )
+
+
+def test_l4_stability_refuses_schedules_with_other_terminal_times(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the schedules were checked")
+
+    monkeypatch.setattr(diagnostics, "simulate", no_simulation)
+    with pytest.raises(ValueError, match=re.escape("one terminal time, not [0.25, 0.5]")):
+        l4_stability_check(
+            builtin_model("linear1d"),
+            build_grid(1, 6.0, 61),
+            [TimeSchedule(0.25, 10), TimeSchedule(0.5, 20)],
             list(range(10)),
         )
 
@@ -197,6 +218,36 @@ def test_convergence_sweep_rejects_bad_grid_of_dts(linear1d):
         convergence_sweep(linear1d, grid, 0.2, [0.02, 0.015], seeds=[0], oracle="kalman")
 
 
+@pytest.mark.parametrize(
+    "deltas, message",
+    [
+        ([0.02, 0.0], "dt 0.0 is not a positive finite number"),
+        ([0.02, -0.01], "dt -0.01 is not a positive finite number"),
+        ([0.02, math.nan], "dt nan is not a positive finite number"),
+        ([], "need at least 1 dt"),
+    ],
+    ids=["zero", "negative", "nan", "empty"],
+)
+def test_convergence_sweep_names_a_bad_dt(linear1d, deltas, message):
+    grid = build_grid(1, 6.0, 61)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convergence_sweep(linear1d, grid, 0.2, deltas, seeds=[0, 1])
+
+
+@pytest.mark.parametrize(
+    "radii, dx, message",
+    [
+        ([3.0, 4.5], 0.0, "grid spacing 0.0 is not a positive finite number"),
+        ([3.0, 4.5], -0.3, "grid spacing -0.3 is not a positive finite number"),
+        ([3.0, math.nan], 0.3, "radius nan is not a positive finite number"),
+    ],
+    ids=["zero-spacing", "negative-spacing", "nan-radius"],
+)
+def test_radius_sweep_names_a_bad_radius_or_spacing(linear1d, radii, dx, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        radius_sweep(linear1d, TimeSchedule(0.1, 5), radii, dx=dx, seeds=[0, 1])
+
+
 def test_sweeps_refuse_a_repeated_level(linear1d):
     grid = build_grid(1, 6.0, 61)
     with pytest.raises(ValueError, match="repeats"):
@@ -239,6 +290,48 @@ def test_radius_sweep_shapes_and_reference_row(linear1d):
     tails = res.extras["tail_mass"]
     assert np.all(np.diff(tails) < 0)  # tail mass decays in the probe radius
     assert len(tails) == 3
+
+
+# The two tests below pin every bit of a sweep's curve to the per-seed gaps of
+# one-path filter runs, reduced as each sweep reduces them.  At 16 seeds the
+# pairwise and the sequential summation over seeds give different last bits
+# on both cases, so a sweep that changed its reduction order would fail here.
+
+
+def test_convergence_sweep_bits_match_a_per_seed_reduction(linear1d):
+    seeds, deltas, terminal = list(range(16)), [0.04, 0.02, 0.01], 0.2
+    grid = build_grid(1, 6.0, 61)
+    res = convergence_sweep(linear1d, grid, terminal, deltas, seeds=seeds)
+
+    sim = TimeSchedule(terminal, round(terminal / deltas[-1]) * _ORACLE_REFINE)
+    paths = [ys for _, ys in simulate(linear1d, sim, substeps=_PATH_SUBSTEPS, seed=seeds)]
+    kalman = kalman_filter(linear1d, sim, paths)
+    for j, dt in enumerate(deltas):
+        stride = sim.steps // round(terminal / dt)
+        gaps = []
+        for ys, kal in zip(paths, kalman):
+            coarse = subsample(ys, stride)
+            out = run_filter(linear1d, grid, coarse.schedule, coarse, [coordinate(0)])
+            gaps.append(np.mean(np.abs(out.estimates[1:, 0] - kal.means[::stride, 0][1:])))
+        # one level's 1-D vector over seeds: numpy sums it pairwise
+        assert res.mean_err[j] == np.mean(gaps)
+        assert res.stderr[j] == np.std(gaps, ddof=1) / math.sqrt(len(seeds))
+
+
+def test_radius_sweep_bits_match_a_per_seed_reduction(linear1d):
+    seeds, radii, dx = list(range(16)), [3.0, 4.5, 6.0], 0.1
+    sched = TimeSchedule(0.25, 25)
+    res = radius_sweep(linear1d, sched, radii, dx=dx, seeds=seeds)
+
+    paths = [ys for _, ys in simulate(linear1d, sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
+    grids = [build_grid(1, R, 2 * round(R / dx) + 1) for R in radii]
+    gaps = []  # (seeds, radii), C-ordered: a mean over axis 0 sums seed by seed
+    for ys in paths:
+        est = [run_filter(linear1d, g, sched, ys, [coordinate(0)]).estimates[1:, 0] for g in grids]
+        gaps.append([np.mean(np.abs(e - est[-1])) for e in est])
+    gaps = np.array(gaps)
+    assert_array_equal(res.mean_err, gaps.mean(axis=0))
+    assert_array_equal(res.stderr, gaps.std(axis=0, ddof=1) / math.sqrt(len(seeds)))
 
 
 def test_radius_sweep_validates_spacing(linear1d):
