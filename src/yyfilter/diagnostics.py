@@ -33,7 +33,8 @@ from .baselines import LINEAR_ORACLES, ORACLES, SWEEP_ORACLES, agreement
 from .filtering import DEFAULT_SUBSTEPS, run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
 from .pde import (
-    DensityField, Grid, assemble_generator, build_grid, discretize_initial, integrate, propagate
+    DensityField, Grid, _batch_exponent, assemble_generator, build_grid, discretize_initial,
+    integrate, propagate,
 )
 from .sde import simulate, subsample
 from .tables import csv_table
@@ -44,8 +45,8 @@ from .tables import csv_table
 # ---------------------------------------------------------------------------
 
 
-def tail_mass(field: DensityField, r: float) -> float:
-    """Fraction of the field's mass on nodes with |x| >= r.
+def tail_mass(field: DensityField, r: float):
+    """Fraction of the field's mass on nodes with |x| >= r, per column for a batch.
 
     Trapezoid integral over the region: nodes exactly on the probe
     radius count with half weight, matching the [r, R] trapezoid rule
@@ -84,19 +85,20 @@ class L4StabilityReport:
 
 
 def _reconstructed_log_norms(field: DensityField, h_nodes: np.ndarray, y_prev: np.ndarray):
-    """log of the L2^2 and L4^4 norms of exp(-h^T Y_prev) * represented field."""
-    w = field.grid.trap_weights
-    neg = -(h_nodes @ y_prev)
-    out = []
-    for p in (2, 4):
-        support = field.values > 0
-        if not support.any():
-            out.append(-math.inf)
-            continue
-        shift = float(np.max(p * neg[support]))
-        acc = float(np.dot(w, field.values**p * np.exp(p * neg - shift)))
-        out.append(math.log(acc) + shift + p * field.log_scale)
-    return out
+    """(S, 2): per column, log L2^2 and L4^4 of exp(-h^T y) * the represented field,
+    y its row of the (S, d) `y_prev`.  Each sum of exp(p (log v - h^T y)) is shifted
+    by its largest term, so none underflows as v^p can; no support reads -inf."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(field.values) - _batch_exponent(h_nodes, y_prev)
+        out = []
+        for p in (2, 4):
+            expo = p * logs
+            shift = expo.max(axis=0)
+            shift[shift == -np.inf] = 0.0  # no support: every term is 0
+            expo -= shift
+            acc = integrate(DensityField(field.grid, np.exp(expo, out=expo)))
+            out.append(np.log(acc) + shift + p * field.log_scale)
+    return np.column_stack(out)
 
 
 def l4_stability_check(
@@ -129,19 +131,20 @@ def l4_stability_check(
     gen = assemble_generator(model, grid)
     finest = schedules[-1]
     paths = [ys for _, ys in simulate(model, finest, substeps=_PATH_SUBSTEPS, seed=obs_seeds)]
+    ys = np.stack([p.values for p in paths])  # (seeds, knots, d)
     strides = [finest.steps // s.steps for s in schedules]
     norms = [[] for _ in schedules]  # per level, knot and seed: the pre-update log norms
 
     def hook(j, k, stage, fld):
-        if stage == "propagated":
-            prev = (k - 1) * strides[j]  # knot k - 1 of level j, on the simulated schedule
-            norms[j].append([_reconstructed_log_norms(f, gen.observation, p.values[prev])
-                             for f, p in zip(fld.columns(), paths)])
+        if stage == "propagated":  # Y at knot k - 1 of level j, on the simulated schedule
+            norms[j].append(_reconstructed_log_norms(fld, gen.observation,
+                                                     ys[:, (k - 1) * strides[j]]))
 
     _run_levels(model, paths, [(stride, gen) for stride in strides], (), substeps, hook)
     # per level, (steps, seeds, 2) log norms: the largest over knots of the seed means
     logs = [np.max(logsumexp(np.array(n), axis=1), axis=0) - math.log(len(paths)) for n in norms]
-    sup_l2, sup_l4 = ([math.exp(v[i]) for v in logs] for i in (0, 1))
+    with np.errstate(over="ignore"):  # a norm beyond float range reads inf, and fails
+        sup_l2, sup_l4 = np.exp(logs).T.tolist()
 
     def spread(vals):
         return max(vals) / min(vals) - 1.0
@@ -441,8 +444,7 @@ def radius_sweep(
 
     def hook(j, k, stage, fld):
         if j == len(radii) - 1 and stage == "updated":
-            for s, col in enumerate(fld.columns()):
-                probe[s, k - 1] = [tail_mass(col, r) for r in radii]
+            probe[:, k - 1] = np.column_stack([tail_mass(fld, r) for r in radii])
 
     levels = [(1, assemble_generator(model, build_grid(model.dim, R, 2 * round(R / dx) + 1)))
               for R in radii]

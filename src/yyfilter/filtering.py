@@ -117,7 +117,6 @@ def run_filter(
         field = DensityField(
             grid, np.repeat(field.values[:, None], S, axis=1), np.zeros(S), np.zeros(S)
         )
-    w = grid.trap_weights
     phi_nodes = [np.asarray(phi(grid.coords), dtype=float) for phi in test_functions]
 
     K = schedule.steps
@@ -133,15 +132,12 @@ def run_filter(
     any_of = bool if single else np.any  # a check reads a scalar on one path
 
     def record(k, fld):
-        # The whole batch in one vecdot per readout, on contiguous rows: vecdot
-        # sums each row in the one-path np.dot order, a gemv over the batch would not.
-        rows = fld.values if single else np.ascontiguousarray(fld.values.T)
-        m = np.vecdot(rows, w)
+        m = integrate(fld)
         low = m < 1e-300
         if any_of(low):
             raise MassCollapseError(f"field mass collapsed {at(k, np.argmax(low))}")
         mass_m.append(m)
-        est.append([np.vecdot(pv * rows, w) / m for pv in phi_nodes])
+        est.append([integrate(fld, pv) / m for pv in phi_nodes])
         mass_ls.append(fld.log_scale)
         clamped.append(fld.clamped_mass)
         return m

@@ -266,10 +266,10 @@ class TimeSchedule:
     steps: int
 
     def __post_init__(self):
-        if self.terminal <= 0:
-            raise ValueError("terminal time must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not 0 < self.terminal < math.inf:
+            raise ValueError(f"terminal time must be positive and finite, not {self.terminal!r}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, not {self.steps!r}")
 
     @property
     def dt(self) -> float:

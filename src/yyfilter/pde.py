@@ -159,16 +159,6 @@ class DensityField:
     log_scale: float = 0.0
     clamped_mass: float = 0.0
 
-    def columns(self) -> list:
-        """The S single fields of a batch, each with contiguous values; one field: itself."""
-        if self.values.ndim == 1:
-            return [self]
-        rows = np.ascontiguousarray(self.values.T)
-        return [
-            DensityField(self.grid, v, float(ls), float(cm))
-            for v, ls, cm in zip(rows, self.log_scale, self.clamped_mass)
-        ]
-
 
 def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:
     """Initial field sigma0 * S_R on the grid, zero on the boundary."""
@@ -393,9 +383,7 @@ def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityFie
         shift = expo.max(where=vals > 0, initial=-np.inf)
         shift = 0.0 if shift == -np.inf else shift  # no support: no shift
     else:
-        # For d > 1 a gemm over the batch sums h^T dy in another order than the
-        # one-field gemv, so the exponent is built column by column.
-        expo = h @ dys.T if d == 1 else np.column_stack([h @ y for y in dys])
+        expo = _batch_exponent(h, dys)
         shift = expo.max(axis=0, where=vals > 0, initial=-np.inf)
         shift[shift == -np.inf] = 0.0
     expo -= shift
@@ -403,11 +391,16 @@ def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityFie
     return DensityField(field.grid, vals, field.log_scale + shift, field.clamped_mass)
 
 
-def integrate(field: DensityField, weight: Optional[np.ndarray] = None) -> float:
-    """Trapezoid integral of weight * values over the grid, for one field.
+def _batch_exponent(h: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(N, S): h^T y at the nodes for each row y of the (S, d) `ys`, column by column
+    when d > 1, where a gemm over the batch would sum in another order than a gemv."""
+    return h @ ys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in ys])
 
-    `weight` holds one value per node (None: constant 1).  The field's
-    log_scale is not applied, so a ratio of two integrals needs none.
-    """
-    values = field.values if weight is None else weight * field.values
-    return float(np.dot(field.grid.trap_weights, values))
+
+def integrate(field: DensityField, weight: Optional[np.ndarray] = None):
+    """Trapezoid integral of weight * values (one weight per node, None: 1): a float
+    for one field, an (S,) array for a batch, each column summed in np.dot's order by
+    one vecdot over the contiguous (S, N) rows (a gemv over the batch would not).
+    The field's log_scale is not applied, so a ratio of two integrals needs none."""
+    rows = field.values if field.values.ndim == 1 else np.ascontiguousarray(field.values.T)
+    return np.vecdot(rows if weight is None else weight * rows, field.grid.trap_weights)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from yyfilter import diagnostics
@@ -58,6 +59,19 @@ def test_tail_mass_standard_normal(linear1d, grid_1d_fine):
     assert tail_mass(field, 1.0) == pytest.approx(expected, abs=1e-3)
 
 
+@pytest.mark.parametrize("dim, points", [(1, 241), (2, 41)])
+def test_tail_mass_batch_is_each_column_bit_for_bit(dim, points):
+    g = build_grid(dim, 6.0, points)
+    r2 = np.sum(g.coords**2, axis=1)
+    cols = [np.exp(-0.5 * r2 / s) * 10.0**e for s, e in [(1.0, 0), (0.3, -9), (4.0, 7)]]
+    batch = DensityField(g, np.column_stack(cols), np.zeros(3), np.zeros(3))
+    one = DensityField(g, cols[2][:, None], np.zeros(1), np.zeros(1))
+    for r in (0.5, 1.0, 2.5, 6.0):
+        singles = [tail_mass(DensityField(g, c), r) for c in cols]
+        assert_array_equal(tail_mass(batch, r), singles)
+        assert_array_equal(tail_mass(one, r), [singles[2]])
+
+
 def test_tail_mass_probe_validation(grid_1d_fine):
     field = DensityField(grid_1d_fine, np.ones(grid_1d_fine.n_nodes))
     with pytest.raises(ValueError):
@@ -103,6 +117,60 @@ def test_l4_stability_refuses_schedules_with_other_terminal_times(monkeypatch):
             [TimeSchedule(0.25, 10), TimeSchedule(0.5, 20)],
             list(range(10)),
         )
+
+
+def test_l4_report_bits_match_a_per_path_reference(linear1d):
+    grid, seeds = build_grid(1, 6.0, 61), list(range(10))
+    schedules = [TimeSchedule(0.25, 10), TimeSchedule(0.25, 20)]
+    report = l4_stability_check(linear1d, grid, schedules, seeds)
+
+    h, w = linear1d.observation(grid.coords), grid.trap_weights
+    paths = [ys for _, ys in simulate(linear1d, schedules[-1], substeps=_PATH_SUBSTEPS,
+                                      seed=seeds)]
+    sups = []
+    for sched in schedules:
+        stride = schedules[-1].steps // sched.steps
+        norms = np.empty((sched.steps, len(seeds), 2))
+        for s, ys in enumerate(paths):
+            coarse = subsample(ys, stride)
+
+            def hook(k, stage, fld):  # the shifted sums, one path's field at a time
+                if stage == "propagated":
+                    with np.errstate(divide="ignore"):
+                        logs = np.log(fld.values) - h @ coarse.values[k - 1]
+                    for i, p in enumerate((2, 4)):
+                        shift = np.max(p * logs)
+                        acc = np.dot(w, np.exp(p * logs - shift))
+                        norms[k - 1, s, i] = np.log(acc) + shift + p * fld.log_scale
+
+            run_filter(linear1d, grid, coarse.schedule, coarse, [], field_hook=hook)
+        sups.append(np.max(logsumexp(norms, axis=1), axis=0) - math.log(len(seeds)))
+    sup_l2, sup_l4 = np.exp(sups).T
+    assert_array_equal(report.sup_l2, sup_l2)
+    assert_array_equal(report.sup_l4, sup_l4)
+
+
+def test_l4_check_reads_a_tiny_field_and_fails_by_report():
+    # On the cubic sensor the pre-update field's largest exp(-h^T Y) can sit on a
+    # node whose v^4 underflows to 0: the shifted sum must still be positive, and
+    # norms that disagree across the dt levels fail the report, not the call.
+    report = l4_stability_check(
+        builtin_model("cubic_sensor"), build_grid(1, 6.0, 241),
+        [TimeSchedule(0.1, 100), TimeSchedule(0.1, 200)], range(10), substeps=8,
+    )
+    assert all(math.isfinite(v) and v > 0 for v in report.sup_l2 + report.sup_l4)
+    assert report.l4_spread > 0.2
+    assert not report.passed
+
+
+def test_l4_check_reads_a_norm_beyond_float_range_as_inf():
+    report = l4_stability_check(
+        builtin_model("cubic_sensor"), build_grid(1, 6.0, 241),
+        [TimeSchedule(0.2, 200), TimeSchedule(0.2, 400)], range(10), substeps=8,
+    )
+    assert report.sup_l4 == (math.inf, math.inf)
+    assert all(math.isfinite(v) for v in report.sup_l2)
+    assert not report.passed
 
 
 def test_single_knot_schedule_trivially_bounded():
@@ -318,20 +386,47 @@ def test_convergence_sweep_bits_match_a_per_seed_reduction(linear1d):
         assert res.stderr[j] == np.std(gaps, ddof=1) / math.sqrt(len(seeds))
 
 
-def test_radius_sweep_bits_match_a_per_seed_reduction(linear1d):
-    seeds, radii, dx = list(range(16)), [3.0, 4.5, 6.0], 0.1
-    sched = TimeSchedule(0.25, 25)
-    res = radius_sweep(linear1d, sched, radii, dx=dx, seeds=seeds)
+def _tail_fraction(values, grid, r):
+    """tail_mass's formula, written out for one path's field."""
+    tol = 1e-9 * grid.radius
+    region = np.where(grid.node_radii > r + tol, 1.0,
+                      np.where(grid.node_radii >= r - tol, 0.5, 0.0))
+    w = grid.trap_weights
+    return float(np.dot(w, region * values)) / float(np.dot(w, values))
 
-    paths = [ys for _, ys in simulate(linear1d, sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
-    grids = [build_grid(1, R, 2 * round(R / dx) + 1) for R in radii]
+
+def _assert_radius_sweep_bits(model, sched, radii, dx, seeds):
+    res = radius_sweep(model, sched, radii, dx=dx, seeds=seeds)
+
+    paths = [ys for _, ys in simulate(model, sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
+    grids = [build_grid(model.dim, R, 2 * round(R / dx) + 1) for R in radii]
     gaps = []  # (seeds, radii), C-ordered: a mean over axis 0 sums seed by seed
-    for ys in paths:
-        est = [run_filter(linear1d, g, sched, ys, [coordinate(0)]).estimates[1:, 0] for g in grids]
+    probe = np.empty((len(seeds), sched.steps, len(radii)))  # as the sweep lays it out
+    for s, ys in enumerate(paths):
+        def hook(k, stage, fld):
+            if stage == "updated":
+                probe[s, k - 1] = [_tail_fraction(fld.values, grids[-1], r) for r in radii]
+
+        est = [run_filter(model, g, sched, ys, [coordinate(0)],
+                          field_hook=hook if g is grids[-1] else None).estimates[1:, 0]
+               for g in grids]
         gaps.append([np.mean(np.abs(e - est[-1])) for e in est])
     gaps = np.array(gaps)
     assert_array_equal(res.mean_err, gaps.mean(axis=0))
     assert_array_equal(res.stderr, gaps.std(axis=0, ddof=1) / math.sqrt(len(seeds)))
+    tails = probe.mean(axis=1)
+    assert_array_equal(res.extras["tail_mass"], tails.mean(axis=0))
+    assert_array_equal(res.extras["tail_stderr"], tails.std(axis=0, ddof=1) / math.sqrt(len(seeds)))
+
+
+def test_radius_sweep_bits_match_a_per_seed_reduction(linear1d):
+    _assert_radius_sweep_bits(linear1d, TimeSchedule(0.25, 25), [3.0, 4.5, 6.0], 0.1,
+                              list(range(16)))
+
+
+def test_radius_sweep_bits_match_a_per_seed_reduction_2d():
+    _assert_radius_sweep_bits(builtin_model("linearNd", dim=2), TimeSchedule(0.1, 10),
+                              [2.0, 3.0, 4.0], 0.25, list(range(16)))
 
 
 def test_radius_sweep_validates_spacing(linear1d):

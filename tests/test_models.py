@@ -178,10 +178,16 @@ def test_schedule_endpoints_exact(steps, terminal):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        TimeSchedule(1.0, 0)
-    with pytest.raises(ValueError):
-        TimeSchedule(-1.0, 10)
+    for terminal, steps, named in [
+        (1.0, 0, "steps must be an integer >= 1, not 0"),
+        (1.0, 2.5, "steps must be an integer >= 1, not 2.5"),
+        (1.0, 10.0, "steps must be an integer >= 1, not 10.0"),
+        (-1.0, 10, "terminal time must be positive and finite, not -1.0"),
+        (float("nan"), 10, "terminal time must be positive and finite, not nan"),
+        (float("inf"), 10, "terminal time must be positive and finite, not inf"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            TimeSchedule(terminal, steps)
 
 
 def test_sampler_matches_density_moments(linear1d):

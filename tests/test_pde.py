@@ -747,14 +747,10 @@ def test_batch_clamp_is_per_column():
     singles = [propagate(gen, DensityField(g, v), 0.01, 1) for v in columns]
     assert singles[1].clamped_mass == 0.0 < min(singles[0].clamped_mass, singles[2].clamped_mass)
     batch = DensityField(g, np.column_stack(columns), np.zeros(3), np.zeros(3))
-    for col, single in zip(propagate(gen, batch, 0.01, 1).columns(), singles):
-        np.testing.assert_array_equal(col.values, single.values)
-        assert col.clamped_mass == single.clamped_mass
-
-
-def test_single_field_columns_is_the_field_itself(grid_1d_fine):
-    field = _gaussian_field(grid_1d_fine, 1.0)
-    assert field.columns() == [field]
+    out = propagate(gen, batch, 0.01, 1)
+    for s, single in enumerate(singles):
+        np.testing.assert_array_equal(out.values[:, s], single.values)
+        assert out.clamped_mass[s] == single.clamped_mass
 
 
 @pytest.mark.parametrize("name, dim, points, paths, substeps", [
@@ -915,3 +911,22 @@ def test_integrate_gaussian_second_moment(linear1d, grid_1d_fine):
     field = discretize_initial(linear1d, grid_1d_fine)
     val = integrate(field, squared_coordinate(0)(grid_1d_fine.coords))
     assert val == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 241), (2, 41), (3, 21)])
+def test_integrate_batch_is_each_column_bit_for_bit(dim, points):
+    # Columns of unequal shape and scale; the weight is odd, so its sums cancel
+    # and any change of summation order shows in the last bits.
+    g = build_grid(dim, 6.0, points)
+    x = g.coords[:, 0]
+    cols = [np.exp(-0.5 * (x - c) ** 2 / s) * 10.0**e for c, s, e in
+            [(0.0, 1.0, 0), (1.3, 0.2, -7), (-2.1, 3.0, 5), (0.4, 0.7, -300)]]
+    batch = DensityField(g, np.column_stack(cols), np.zeros(4), np.zeros(4))
+    for weight in (None, x, squared_coordinate(0)(g.coords)):
+        whole = integrate(batch, weight)
+        assert whole.shape == (4,)
+        singles = [integrate(DensityField(g, c), weight) for c in cols]
+        assert all(isinstance(v, float) for v in singles)
+        np.testing.assert_array_equal(whole, singles)
+        one = integrate(DensityField(g, cols[1][:, None], np.zeros(1), np.zeros(1)), weight)
+        np.testing.assert_array_equal(one, [singles[1]])
