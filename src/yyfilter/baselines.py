@@ -1,6 +1,8 @@
 """Reference estimators used as oracles.
 
-kalman_filter     exact continuous-discrete recursion for linear models
+kalman_filter     exact continuous-discrete recursion for linear models; its
+                  covariance and gain pass runs once per (system, dt, K) and is
+                  kept across calls, so results share one read-only `covs`
 ks_monte_carlo    reference-measure importance sampler (Bayes-ratio weights)
 bootstrap_pf      bootstrap particle filter with systematic resampling
 ORACLES           the one table of oracles: a name maps to one call over a batch
@@ -23,15 +25,17 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
 
 from .filtering import run_filter
-from .models import FilterModel, TestFunction, TimeSchedule, parse_test_function, readout_index
+from .models import (FilterModel, TestFunction, TimeSchedule, check_count,
+                     parse_test_function, readout_index)
 from .pde import build_grid
-from .sde import PATH_SUBSTEPS, ObservationPath, observation_increments, _rng_for
+from .sde import PATH_SUBSTEPS, ObservationPath, as_batch, observation_increments, _rng_for
 from .tables import csv_table
 
 log = logging.getLogger("yyfilter")
@@ -84,6 +88,29 @@ def _discrete_transition(F: np.ndarray, Q: np.ndarray, dt: float):
     return Ad, 0.5 * (Qd + Qd.T)
 
 
+@lru_cache(maxsize=16)
+def _gain_pass(F: bytes, Q: bytes, H: bytes, P0: bytes, d: int, dt: float, K: int):
+    """The path-free half of the Kalman recursion: Ad, C = H dt, the (K+1, d, d)
+    covariances and the (K, d, d) gains, all read-only.  Memoized on the bytes
+    of F, Q = g g^T, H and the prior covariance, with d, dt and K."""
+    F, Q, H, P = (np.frombuffer(b).reshape(d, d) for b in (F, Q, H, P0))
+    Ad, Qd = _discrete_transition(F, Q, dt)
+    C, eye = H * dt, np.eye(d)
+    # gains F-ordered as solve(...).T returns them: a product's rounding may follow its layout
+    covs, gains = np.empty((K + 1, d, d)), np.empty((K, d, d)).transpose(0, 2, 1)
+    covs[0] = P
+    for k in range(1, K + 1):
+        P = Ad @ P @ Ad.T + Qd
+        S = C @ P @ C.T + dt * eye
+        gain = np.linalg.solve(S.T, (P @ C.T).T).T
+        P = (eye - gain @ C) @ P
+        P = 0.5 * (P + P.T)
+        gains[k - 1], covs[k] = gain, P
+    for a in (Ad, C, covs, gains):
+        a.flags.writeable = False
+    return Ad, C, covs, gains
+
+
 def kalman_filter(
     model: FilterModel,
     schedule: TimeSchedule,
@@ -94,40 +121,28 @@ def kalman_filter(
     Moments propagate exactly over each knot interval (closed-form matrix
     exponential); the measurement update treats dY_k as a discrete
     observation of H x dt with noise covariance dt I — the standard
-    first-order reduction of the integrated-observation model.  Given a
-    sequence of paths, the covariance and gain recursion runs once (it
-    does not depend on the path), the means advance as one (S, d) matrix,
-    and the result is one KalmanResult per path.
+    first-order reduction of the integrated-observation model.  The
+    covariance and gain recursion does not depend on the path: it runs once
+    per (system, dt, K) and is kept across calls, so every result of that
+    system and schedule shares one read-only `covs`.  The means advance per
+    call, a sequence of paths as one (S, d) matrix, one KalmanResult per path.
     """
     if model.linear is None:
         raise ValueError(f"model {model.name!r} is not declared linear")
-    single = isinstance(obs, ObservationPath)
-    paths = [obs] if single else list(obs)
-    lin = model.linear
-    d = model.dim
-    F, H = lin.drift_matrix, lin.observation_matrix
-    Q = lin.diffusion_matrix @ lin.diffusion_matrix.T
-    dt = schedule.dt
-    Ad, Qd = _discrete_transition(F, Q, dt)
-    C = H * dt
-    Rn = dt * np.eye(d)
-
-    K = schedule.steps
+    single, paths = as_batch(obs, ObservationPath, "observation paths")
+    lin, d, K = model.linear, model.dim, schedule.steps
+    g = lin.diffusion_matrix
+    mats = (lin.drift_matrix, g @ g.T, lin.observation_matrix, lin.prior_cov)
+    Ad, C, covs, gains = _gain_pass(
+        *(np.asarray(a, dtype=float).tobytes() for a in mats), d, schedule.dt, K
+    )
     means = np.empty((len(paths), K + 1, d))
-    covs = np.empty((K + 1, d, d))
-    m, P = np.tile(lin.prior_mean, (len(paths), 1)), lin.prior_cov.copy()
-    means[:, 0], covs[0] = m, P
+    means[:, 0] = m = np.tile(lin.prior_mean, (len(paths), 1))
     dys = np.stack([observation_increments(p, schedule) for p in paths], axis=1)  # (K, S, d)
-    eye = np.eye(d)
     for k in range(1, K + 1):
         m = m @ Ad.T
-        P = Ad @ P @ Ad.T + Qd
-        S = C @ P @ C.T + Rn
-        gain = np.linalg.solve(S.T, (P @ C.T).T).T
-        m = m + (dys[k - 1] - m @ C.T) @ gain.T
-        P = (eye - gain @ C) @ P
-        P = 0.5 * (P + P.T)
-        means[:, k], covs[k] = m, P
+        m = m + (dys[k - 1] - m @ C.T) @ gains[k - 1].T
+        means[:, k] = m
     results = [KalmanResult(schedule, mv, covs) for mv in means]
     return results[0] if single else results
 
@@ -282,8 +297,8 @@ def ks_monte_carlo(
     down to a single particle); weight degeneracy (ESS < 10) is reported
     via the ess column and a warning, never an error.
     """
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
+    check_count("n_particles", n_particles)
+    check_count("substeps", substeps)
     K = schedule.steps
     dt = schedule.dt / substeps
     rng = _rng_for(seed)
@@ -332,6 +347,7 @@ def bootstrap_pf(
     reweighted by exp(h^T dY - 1/2 |h|^2 dt), and are systematically
     resampled whenever ESS drops below N/2.
     """
+    check_count("n_particles", n_particles)
     if n_particles < 3:
         raise ValueError("n_particles must be >= 3: at N = 2 the ESS never falls below N/2")
     K = schedule.steps

@@ -30,7 +30,7 @@ from .pde import (
     integrate,
     propagate,
 )
-from .sde import ObservationPath, observation_increments
+from .sde import ObservationPath, as_batch, observation_increments
 from .tables import csv_table
 
 
@@ -100,13 +100,12 @@ def run_filter(
     (N, S) field, the hook sees that batched field, and the result is one
     FilterOutput per path, each bit-identical to running that path alone.
 
-    Raises ValueError if a path is on another schedule or `generator` was
-    assembled on another grid, and MassCollapseError if the mantissa mass
+    Raises ValueError if the batch is empty, a path is on another schedule or
+    `generator` was assembled on another grid, and MassCollapseError if the mantissa mass
     drops below 1e-300 before renormalization or if a propagation step
     clamps more than CLAMP_TOLERANCE of the field mass.
     """
-    single = isinstance(obs, ObservationPath)
-    paths = [obs] if single else list(obs)
+    single, paths = as_batch(obs, ObservationPath, "observation paths")
     increments = np.stack([observation_increments(p, schedule) for p in paths], axis=1)  # K, S, d
     gen = generator if generator is not None else assemble_generator(model, grid)
     if str(gen.grid) != str(grid):

@@ -253,6 +253,12 @@ def readout_index(labels: Sequence[str], label: str) -> int:
     return labels.index(canonical)
 
 
+def check_count(name: str, value, least: int = 1) -> None:
+    """Refuse a count that is not an integer >= least, naming the value."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeSchedule:
     """Uniform partition of [0, T] into K steps of size dt = T/K.
@@ -268,8 +274,7 @@ class TimeSchedule:
     def __post_init__(self):
         if not 0 < self.terminal < math.inf:
             raise ValueError(f"terminal time must be positive and finite, not {self.terminal!r}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, not {self.steps!r}")
+        check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .models import FilterModel
+from .models import FilterModel, check_count
 
 
 class AssemblyError(ValueError):
@@ -86,8 +86,7 @@ def build_grid(dim: int, radius: float, points: int) -> Grid:
         raise ValueError("dim must be 1, 2 or 3")
     if not 0 < 2 * radius < np.inf:  # the axis spans 2R, which must be finite too
         raise ValueError(f"radius must be positive and finite, not {radius!r}")
-    if not isinstance(points, (int, np.integer)) or points < 3:
-        raise ValueError(f"points per axis must be an integer >= 3, not {points!r}")
+    check_count("points per axis", points, 3)
     if points % 2 == 0:
         raise ValueError("points per axis must be odd so the origin is a node")
 
@@ -337,8 +336,7 @@ def propagate(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    check_count("substeps", substeps)
     cn = _cn_system(gen, dt / (2 * substeps))
     v = np.asarray(field.values, dtype=float)
     for _ in range(substeps):

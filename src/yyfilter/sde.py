@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .models import FilterModel, TimeSchedule
+from .models import FilterModel, TimeSchedule, check_count
 from .tables import csv_table
 
 
@@ -51,6 +51,15 @@ class ObservationPath(_KnotPath):
     """Observation Y at the knots; values[0] == 0."""
 
 
+def as_batch(item, one, what: str) -> tuple[bool, list]:
+    """(single, items): a lone `one` as a batch of one, or a non-empty sequence's items."""
+    single = isinstance(item, one)
+    items = [item] if single else list(item)
+    if not items:
+        raise ValueError(f"the batch of {what} is empty")
+    return single, items
+
+
 def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -72,10 +81,8 @@ def simulate(
     and the result is one (StatePath, ObservationPath) pair per seed, each
     bit-identical to simulating that seed alone.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
+    check_count("substeps", substeps)
+    single, seeds = as_batch(seed, (int, np.integer), "seeds")
     d = model.dim
     K = schedule.steps
     n = K * substeps

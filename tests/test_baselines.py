@@ -15,6 +15,7 @@ from yyfilter.baselines import (
     PARTICLE_SEED_OFFSET,
     _discrete_transition,
     _ess,
+    _gain_pass,
     _normalized_weights,
     agreement,
     bootstrap_pf,
@@ -183,19 +184,25 @@ def test_every_oracle_reads_a_label_in_any_spelling(name):
                 read("x2^2")
 
 
+# A 2D system whose F, Q = g g^T and H are all non-diagonal.
+_COUPLED = LinearSystem(
+    drift_matrix=np.array([[-1.0, 0.4], [-0.3, -0.8]]),
+    diffusion_matrix=np.array([[1.0, 0.0], [0.5, 1.0]]),
+    observation_matrix=np.array([[1.0, 0.3], [0.0, 1.0]]),
+    prior_mean=np.zeros(2),
+    prior_cov=np.eye(2),
+)
+
+
+def _coupled_model():
+    return dataclasses.replace(builtin_model("linearNd"), linear=_COUPLED)
+
+
 def test_kalman_path_batch_matches_one_path_at_a_time():
     # The means of a batch advance as one (S, d) matrix: bit-identical in 1D,
     # within 1e-12 relative in 2D, where a matrix product may sum in another order.
-    coupled = LinearSystem(
-        drift_matrix=np.array([[-1.0, 0.4], [-0.3, -0.8]]),
-        diffusion_matrix=np.array([[1.0, 0.0], [0.5, 1.0]]),
-        observation_matrix=np.array([[1.0, 0.3], [0.0, 1.0]]),
-        prior_mean=np.zeros(2),
-        prior_cov=np.eye(2),
-    )
     sched = TimeSchedule(0.5, 50)
-    models = (builtin_model("linear1d"),
-              dataclasses.replace(builtin_model("linearNd"), linear=coupled))
+    models = (builtin_model("linear1d"), _coupled_model())
     for m in models:
         obs = [ys for _, ys in simulate(m, sched, seed=[4, 5, 6])]
         for path, res in zip(obs, kalman_filter(m, sched, obs)):
@@ -204,6 +211,102 @@ def test_kalman_path_batch_matches_one_path_at_a_time():
             if m.dim == 1:
                 assert_array_equal(res.means, one.means)
             assert_allclose(res.means, one.means, rtol=1e-12, atol=1e-15)
+
+
+def _ref_kalman(model, schedule, paths):
+    """kalman_filter as it stood when every call ran the covariance and gain
+    recursion itself, copied verbatim: (S, K+1, d) means, (K+1, d, d) covariances."""
+    lin = model.linear
+    d = model.dim
+    F, H = lin.drift_matrix, lin.observation_matrix
+    Q = lin.diffusion_matrix @ lin.diffusion_matrix.T
+    dt = schedule.dt
+    Ad, Qd = _discrete_transition(F, Q, dt)
+    C = H * dt
+    Rn = dt * np.eye(d)
+
+    K = schedule.steps
+    means = np.empty((len(paths), K + 1, d))
+    covs = np.empty((K + 1, d, d))
+    m, P = np.tile(lin.prior_mean, (len(paths), 1)), lin.prior_cov.copy()
+    means[:, 0], covs[0] = m, P
+    dys = np.stack([observation_increments(p, schedule) for p in paths], axis=1)  # (K, S, d)
+    eye = np.eye(d)
+    for k in range(1, K + 1):
+        m = m @ Ad.T
+        P = Ad @ P @ Ad.T + Qd
+        S = C @ P @ C.T + Rn
+        gain = np.linalg.solve(S.T, (P @ C.T).T).T
+        m = m + (dys[k - 1] - m @ C.T) @ gain.T
+        P = (eye - gain @ C) @ P
+        P = 0.5 * (P + P.T)
+        means[:, k], covs[k] = m, P
+    return means, covs
+
+
+def _assert_matches_ref_kalman(model, schedule, paths):
+    means, covs = _ref_kalman(model, schedule, paths)
+    results = kalman_filter(model, schedule, paths)
+    for res, mv in zip(results, means):
+        assert_array_equal(res.means, mv)
+        assert_array_equal(res.covs, covs)
+    return results
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_model("linear1d"),
+    lambda: builtin_model("linearNd", dim=2),
+    lambda: builtin_model("linearNd", dim=3),
+    _coupled_model,
+], ids=["linear1d", "linearNd2", "linearNd3", "coupled2"])
+def test_kalman_gain_pass_matches_the_per_call_recursion(make):
+    m, sched = make(), TimeSchedule(0.5, 100)
+    obs = [ys for _, ys in simulate(m, sched, seed=[4, 5, 6, 7])]
+    one = kalman_filter(m, sched, obs[0])
+    means, covs = _ref_kalman(m, sched, obs[:1])
+    assert_array_equal(one.means, means[0])
+    assert_array_equal(one.covs, covs)
+    _assert_matches_ref_kalman(m, sched, obs)
+
+
+def test_kalman_gain_pass_is_kept_across_calls(linear1d):
+    sched = TimeSchedule(0.5, 100)
+    obs = [ys for _, ys in simulate(linear1d, sched, seed=[1, 2])]
+    first = kalman_filter(linear1d, sched, obs[0])
+    before = _gain_pass.cache_info()
+    again = kalman_filter(linear1d, sched, obs[1])
+    batch = kalman_filter(linear1d, sched, obs)
+    rebuilt = kalman_filter(builtin_model("linear1d"), sched, obs[0])  # equal values, new object
+    after = _gain_pass.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    assert again.covs is first.covs and batch[1].covs is first.covs and rebuilt.covs is first.covs
+
+
+@pytest.mark.parametrize("fields, sched", [
+    ({"drift_matrix": _COUPLED.drift_matrix * 1.25}, TimeSchedule(0.5, 100)),
+    ({"diffusion_matrix": _COUPLED.diffusion_matrix * 1.25}, TimeSchedule(0.5, 100)),
+    ({"observation_matrix": _COUPLED.observation_matrix * 1.25}, TimeSchedule(0.5, 100)),
+    ({"prior_cov": np.array([[0.8, 0.3], [0.3, 0.5]])}, TimeSchedule(0.5, 100)),
+    ({}, TimeSchedule(0.6, 100)),  # dt alone
+    ({}, TimeSchedule(1.0, 200)),  # K alone
+], ids=["F", "Q", "H", "prior_cov", "dt", "K"])
+def test_kalman_gain_pass_is_fresh_for_each_changed_input(fields, sched):
+    m, base_sched = _coupled_model(), TimeSchedule(0.5, 100)
+    _gain_pass.cache_clear()
+    base = kalman_filter(m, base_sched, simulate(m, base_sched, seed=3)[1])
+    m = dataclasses.replace(m, linear=dataclasses.replace(_COUPLED, **fields))
+    obs = [ys for _, ys in simulate(m, sched, seed=[3, 4])]
+    results = _assert_matches_ref_kalman(m, sched, obs)
+    assert _gain_pass.cache_info()[:2] == (0, 2)  # (hits, misses)
+    assert results[0].covs is not base.covs
+
+
+def test_kalman_covs_are_shared_and_read_only(linear1d):
+    sched = TimeSchedule(0.5, 50)
+    results = kalman_filter(linear1d, sched, [ys for _, ys in simulate(linear1d, sched, seed=[1, 2])])
+    assert results[0].covs is results[1].covs
+    with pytest.raises(ValueError, match="read-only"):
+        results[0].covs[1, 0, 0] = 1.0
 
 
 def test_ks_equal_weights_without_observation_terms():
@@ -517,6 +620,42 @@ def test_bootstrap_pf_refuses_two_particles():
     _, obs = simulate(m, sched, seed=1)
     with pytest.raises(ValueError, match="never falls below"):
         bootstrap_pf(m, sched, obs, [coordinate(0)], 2, seed=1)
+
+
+_SHORT = TimeSchedule(0.1, 5)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda m, obs: simulate(m, _SHORT, substeps=2.5), r"substeps must be an integer >= 1, not 2\.5"),
+    (lambda m, obs: run_filter(m, build_grid(1, 4.0, 41), _SHORT, obs, [coordinate(0)], 2.5),
+     r"substeps must be an integer >= 1, not 2\.5"),
+    (lambda m, obs: ks_monte_carlo(m, _SHORT, obs, [coordinate(0)], 50, substeps=2.5),
+     r"substeps must be an integer >= 1, not 2\.5"),
+    (lambda m, obs: ks_monte_carlo(m, _SHORT, obs, [coordinate(0)], 50, substeps=0),
+     "substeps must be an integer >= 1, not 0"),
+    (lambda m, obs: ks_monte_carlo(m, _SHORT, obs, [coordinate(0)], 50, substeps=-1),
+     "substeps must be an integer >= 1, not -1"),
+    (lambda m, obs: ks_monte_carlo(m, _SHORT, obs, [coordinate(0)], 1e3),
+     r"n_particles must be an integer >= 1, not 1000\.0"),
+    (lambda m, obs: bootstrap_pf(m, _SHORT, obs, [coordinate(0)], 1e3),
+     r"n_particles must be an integer >= 1, not 1000\.0"),
+], ids=["simulate", "run_filter", "ks_substeps_2.5", "ks_substeps_0", "ks_substeps_-1",
+        "ks_particles", "pf_particles"])
+def test_counts_are_refused_by_name(linear1d, call, match):
+    _, obs = simulate(linear1d, _SHORT, seed=1)
+    with pytest.raises(ValueError, match=match):
+        call(linear1d, obs)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda m: simulate(m, _SHORT, seed=[]), "seeds"),
+    (lambda m: run_filter(m, build_grid(1, 4.0, 41), _SHORT, [], [coordinate(0)]),
+     "observation paths"),
+    (lambda m: kalman_filter(m, _SHORT, []), "observation paths"),
+], ids=["simulate", "run_filter", "kalman_filter"])
+def test_an_empty_batch_is_refused_by_name(linear1d, call, what):
+    with pytest.raises(ValueError, match=f"the batch of {what} is empty"):
+        call(linear1d)
 
 
 def test_stream_cases_cover_every_resampling_pattern():
