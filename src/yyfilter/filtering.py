@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import FilterModel, TestFunction, TimeSchedule, readout_index
+from .models import FilterModel, TestFunction, TimeSchedule, check_count, readout_index
 from .pde import (
     DensityField,
     DiscreteGenerator,
@@ -100,11 +100,13 @@ def run_filter(
     (N, S) field, the hook sees that batched field, and the result is one
     FilterOutput per path, each bit-identical to running that path alone.
 
-    Raises ValueError if the batch is empty, a path is on another schedule or
+    Raises ValueError if `substeps` is not an integer >= 1 or the batch is
+    empty (both before any set-up), if a path is on another schedule or
     `generator` was assembled on another grid, and MassCollapseError if the mantissa mass
     drops below 1e-300 before renormalization or if a propagation step
     clamps more than CLAMP_TOLERANCE of the field mass.
     """
+    check_count("substeps", substeps)
     single, paths = as_batch(obs, ObservationPath, "observation paths")
     increments = np.stack([observation_increments(p, schedule) for p in paths], axis=1)  # K, S, d
     gen = generator if generator is not None else assemble_generator(model, grid)

@@ -492,21 +492,12 @@ def validate_assumptions(
     )
 
     # A3: tensor-grid trapezoid moments of the initial density.
-    m_axis = 301 if d == 1 else (101 if d == 2 else 41)
-    axes = [np.linspace(-domain_radius, domain_radius, m_axis)] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    dens = _require_finite(model.initial_density(mesh), "initial_density", mesh)
-    dx = axes[0][1] - axes[0][0]
-    w1 = np.full(m_axis, dx)
-    w1[[0, -1]] = dx / 2
-    w = w1
-    for _ in range(d - 1):
-        w = np.multiply.outer(w, w1)
-    w = w.reshape(-1)
-    radii = np.linalg.norm(mesh, axis=1)
-    moments = np.array(
-        [float(np.sum(w * radii ** (2 * k) * dens)) for k in range(1, prof.moment_order + 1)]
-    )
+    from .pde import build_grid  # imported here: pde imports this module
+
+    grid = build_grid(d, domain_radius, 301 if d == 1 else (101 if d == 2 else 41))
+    dens = _require_finite(model.initial_density(grid.coords), "initial_density", grid.coords)
+    moments = np.array([float(np.sum(grid.trap_weights * grid.node_radii ** (2 * k) * dens))
+                        for k in range(1, prof.moment_order + 1)])
     checks.append(
         AssumptionCheck(
             "A3 initial moments",

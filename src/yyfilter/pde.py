@@ -14,11 +14,12 @@ offset (scipy DIA; 7 of the 19 offsets in 3D under a diagonal diffusion),
 and h is kept at the nodes for the exponential update.  A declared constant
 diffusion matrix has a read once, not per node.  Time stepping is
 Crank-Nicolson, one stage loop for every dimension, one solve per stage:
-(I - c A)^{-1} (I + c A) v = 2 y - v with (I - c A) y = v (implicit midpoint).
-I - c A depends only on the generator and on c = dt / (2 substeps), so it is
-prepared once per generator and step size, on first use: in 1D an LU
-factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D the bands
-of I - c A and their Jacobi preconditioner for BiCGSTAB at residual 5e-11 in y.
+(I - c A)^{-1} (I + c A) v = y - v with (I - c A)/2 y = v (implicit midpoint;
+halving the system is exact, so y is twice the midpoint bit for bit).
+(I - c A)/2 depends only on the generator and on c = dt / (2 substeps), so it
+is prepared once per generator and step size, on first use: in 1D an LU
+factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D its bands
+and their Jacobi preconditioner for BiCGSTAB at relative residual 5e-11.
 
 Fields carry a log-scale factor: a DensityField represents
 exp(log_scale) * values so the online loop never underflows; integrals
@@ -173,9 +174,9 @@ def discretize_initial(model: FilterModel, grid: Grid) -> DensityField:
 
 
 class _CNSystem(NamedTuple):
-    """The implicit side I - c A of a Crank-Nicolson stage, ready to solve.
+    """The implicit side (I - c A)/2 of a Crank-Nicolson stage, ready to solve.
 
-    `solve(v)` returns y with (I - c A) y = v for v of shape (N,) or (N, S),
+    `solve(v)` returns y = 2 (I - c A)^{-1} v for v of shape (N,) or (N, S),
     one column per field, and leaves v as it was.
     """
 
@@ -277,7 +278,7 @@ def assemble_generator(model: FilterModel, grid: Grid) -> DiscreteGenerator:
 
 
 def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
-    """The prepared I - c A of `gen`, rebuilt only when c differs from the cached one.
+    """The prepared (I - c A)/2 of `gen`, rebuilt only when c differs from the cached one.
 
     The only place where the grid's dimension picks the solver.
     """
@@ -285,16 +286,16 @@ def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
     if cn is not None and cn.c == c:
         return cn
     A = gen.matrix.todia()
+    lhs = -(0.5 * c) * A
+    lhs.setdiag(0.5 - (0.5 * c) * A.diagonal())
     if gen.grid.dim == 1:
-        *lu, info = lapack.dgttrf(-c * A.diagonal(-1), 1.0 - c * A.diagonal(), -c * A.diagonal(1))
+        *lu, info = lapack.dgttrf(lhs.diagonal(-1), lhs.diagonal(), lhs.diagonal(1))
         if info > 0:
             raise SolverError(f"Crank-Nicolson matrix is singular (dgttrf info={info})")
 
         def solve(v):
             return lapack.dgttrs(*lu, v)[0]
     else:
-        lhs = -c * A
-        lhs.setdiag(1.0 - c * A.diagonal())
         lhs_diag = lhs.diagonal()
         if not np.all(lhs_diag):
             raise SolverError("Crank-Nicolson matrix has a zero diagonal entry")
@@ -302,10 +303,11 @@ def _cn_system(gen: DiscreteGenerator, c: float) -> _CNSystem:
         precond = LinearOperator(lhs.shape, matvec=lambda x: inv_diag * x)
 
         def solve(v):
-            cols = np.array(v.reshape(len(v), -1).T, order="C")
+            vs = v.reshape(len(v), -1)
+            cols = np.multiply(vs.T, 2.0, order="C")  # each column's start, 2v, then its y
             for s, col in enumerate(cols):
                 # looked up at call time: a wrapper on yyfilter.pde.bicgstab sees every solve
-                y, info = bicgstab(lhs, col, x0=col, rtol=5e-11, atol=0.0, M=precond,
+                y, info = bicgstab(lhs, vs[:, s], x0=col, rtol=5e-11, atol=0.0, M=precond,
                                    maxiter=2000)
                 if info != 0:
                     raise SolverError(
@@ -324,15 +326,15 @@ def propagate(
 ) -> DensityField:
     """Advance a field by dt with Crank-Nicolson over `substeps` stages.
 
-    Each stage solves (I - c A) y = v with c = dt / (2 substeps), to relative
-    residual 5e-11 in 2D/3D, and sets v <- 2 y - v = (I - c A)^{-1} (I + c A) v
+    Each stage solves (I - c A)/2 y = v with c = dt / (2 substeps), to relative
+    residual 5e-11 in 2D/3D, and sets v <- y - v = (I - c A)^{-1} (I + c A) v
     in the solve's own output, so the input field is never written; the
-    generator's prepared I - c A is reused while c stays the same.
+    generator's prepared system is reused while c stays the same.
     Negative undershoot is clamped to zero after the final stage, column by
     column and only when there is any, and the removed mass is recorded on the
     result's `clamped_mass`.  A batch field takes one tridiagonal solve for all
-    its columns in 1D and one BiCGSTAB solve per column on the bands of I - c A
-    in 2D/3D.
+    its columns in 1D and one BiCGSTAB solve per column on the bands of
+    (I - c A)/2 in 2D/3D.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -341,7 +343,6 @@ def propagate(
     v = np.asarray(field.values, dtype=float)
     for _ in range(substeps):
         y = cn.solve(v)
-        y *= 2.0
         y -= v
         v = y
     if not np.isfinite(v).all():
@@ -375,24 +376,20 @@ def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityFie
                          f"of shape {vals.shape} with h of shape {h.shape}")
     if not np.isfinite(dys).all():
         raise ValueError("observation increment must be finite")
-    if vals.ndim == 1:
-        # For d = 1 the product is the inner-dimension-1 matmul's, bit for bit.
-        expo = h[:, 0] * dys.item(0) if d == 1 else h @ dys.reshape(d)
-        shift = expo.max(where=vals > 0, initial=-np.inf)
-        shift = 0.0 if shift == -np.inf else shift  # no support: no shift
-    else:
-        expo = _batch_exponent(h, dys)
-        shift = expo.max(axis=0, where=vals > 0, initial=-np.inf)
-        shift[shift == -np.inf] = 0.0
+    # one field is a batch of one column here, whose shift is (1,) where a batch's is (1, S)
+    expo = _batch_exponent(h, dys.reshape(-1, d)).reshape(vals.shape)
+    shift = expo.max(axis=0, where=vals > 0, initial=-np.inf, keepdims=True)
+    shift[shift == -np.inf] = 0.0  # no support: no shift
     expo -= shift
     vals = np.multiply(np.exp(expo, out=expo), vals, out=expo)
-    return DensityField(field.grid, vals, field.log_scale + shift, field.clamped_mass)
+    return DensityField(field.grid, vals, field.log_scale + shift[0], field.clamped_mass)
 
 
 def _batch_exponent(h: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(N, S): h^T y at the nodes for each row y of the (S, d) `ys`, column by column
-    when d > 1, where a gemm over the batch would sum in another order than a gemv."""
-    return h @ ys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in ys])
+    """(N, S): h^T y at the nodes for each row y of the (S, d) `ys`: for d = 1 the
+    broadcast product, which is the inner-dimension-1 matmul's bit for bit; column by
+    column when d > 1, where a gemm over the batch would sum in another order than a gemv."""
+    return h * ys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in ys])
 
 
 def integrate(field: DensityField, weight: Optional[np.ndarray] = None):
@@ -400,5 +397,5 @@ def integrate(field: DensityField, weight: Optional[np.ndarray] = None):
     for one field, an (S,) array for a batch, each column summed in np.dot's order by
     one vecdot over the contiguous (S, N) rows (a gemv over the batch would not).
     The field's log_scale is not applied, so a ratio of two integrals needs none."""
-    rows = field.values if field.values.ndim == 1 else np.ascontiguousarray(field.values.T)
+    rows = np.ascontiguousarray(field.values.T)
     return np.vecdot(rows if weight is None else weight * rows, field.grid.trap_weights)

@@ -641,10 +641,17 @@ _SHORT = TimeSchedule(0.1, 5)
      r"n_particles must be an integer >= 1, not 1000\.0"),
 ], ids=["simulate", "run_filter", "ks_substeps_2.5", "ks_substeps_0", "ks_substeps_-1",
         "ks_particles", "pf_particles"])
-def test_counts_are_refused_by_name(linear1d, call, match):
+def test_counts_are_refused_by_name(linear1d, call, match, monkeypatch):
     _, obs = simulate(linear1d, _SHORT, seed=1)
+    import yyfilter.filtering
+
+    set_up = []  # run_filter refuses its count before any set-up
+    for name in ("assemble_generator", "discretize_initial"):
+        monkeypatch.setattr(yyfilter.filtering, name,
+                            lambda *args, name=name: set_up.append(name))
     with pytest.raises(ValueError, match=match):
         call(linear1d, obs)
+    assert set_up == []
 
 
 @pytest.mark.parametrize("call, what", [

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yyfilter.filtering import MassCollapseError, estimate, run_filter
 from yyfilter.models import (
     AssumptionProfile,
     FilterModel,
+    LinearSystem,
     ONE,
     TimeSchedule,
     builtin_model,
@@ -26,7 +27,7 @@ from yyfilter.pde import (
     propagate,
 )
 from yyfilter.sde import observation_increments, simulate
-from yyfilter.baselines import kalman_filter
+from yyfilter.baselines import agreement, kalman_filter
 
 
 def _zero_vec(points):
@@ -286,6 +287,51 @@ def test_3d_filter_batch_tracks_kalman():
     outs = run_filter(model, grid, schedule, obs, phis)
     for out, kal in zip(outs, kalman_filter(model, schedule, obs)):
         assert np.mean(np.abs(out.estimates[1:] - kal.means[1:])) < 5e-3
+
+
+def _scalar_linear_model(F, H, g, m0, P0):
+    """dX = F X dt + g dV, dY = H X dt + dW, X_0 ~ N(m0, P0)."""
+    def density(p):
+        return np.exp(-0.5 * (p[:, 0] - m0) ** 2 / P0) / math.sqrt(2 * math.pi * P0)
+
+    return FilterModel(
+        name="scalar_linear",
+        dim=1,
+        drift=lambda p: F * p,
+        diffusion=None,
+        observation=lambda p: H * p,
+        initial_density=density,
+        assumptions=AssumptionProfile(abs(F), g * g, 2, 1, 1.0),
+        initial_sampler=lambda rng, n: m0 + math.sqrt(P0) * rng.standard_normal((n, 1)),
+        linear=LinearSystem(np.array([[F]]), np.array([[g]]), np.array([[H]]),
+                            np.array([m0]), np.array([[P0]])),
+        diffusion_matrix=np.array([[g]]),
+    )
+
+
+@settings(max_examples=12)
+@given(
+    F=st.floats(-2.0, -0.2),
+    H=st.floats(0.3, 2.0),
+    h_sign=st.sampled_from([-1.0, 1.0]),
+    g=st.floats(0.5, 1.5),
+    m0=st.floats(-1.0, 1.0),
+    P0=st.floats(0.25, 2.0),
+)
+def test_grid_mean_tracks_kalman_on_stable_scalar_systems(F, H, h_sign, g, m0, P0):
+    # The radius spans 8 standard deviations of the wider of the prior and the
+    # stationary law g^2 / (2 |F|), at 16 nodes per standard deviation.  Over
+    # 300 random draws and the corners of these ranges, the mean gap to Kalman
+    # (T = 0.5, dt = 2e-3) was at most 1.6e-3 of that deviation; the bound is 5e-3.
+    sd = math.sqrt(max(P0, g * g / (-2.0 * F)))
+    radius = abs(m0) + 8.0 * sd
+    model = _scalar_linear_model(F, h_sign * H, g, m0, P0)
+    schedule = TimeSchedule(0.5, 250)
+    obs = [ys for _, ys in simulate(model, schedule, seed=[1, 2, 3])]
+    grid = build_grid(1, radius, 2 * math.ceil(16.0 * radius / sd) + 1)
+    outs = run_filter(model, grid, schedule, obs, [coordinate(0)])
+    for out, kal in zip(outs, kalman_filter(model, schedule, obs)):
+        assert agreement(out.column("x1"), kal.column("x1"))[0] <= 5e-3 * sd
 
 
 @pytest.mark.parametrize("dim, radius, points, dt, steps, seeds", [

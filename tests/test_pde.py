@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 from scipy.signal import convolve
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
@@ -730,6 +730,69 @@ def test_cn_midpoint_form_matches_explicit_form(name, dim, radius, points):
         assert np.max(np.abs(field.values - ref.values)) <= 1e-14 * np.max(ref.values)
 
 
+def _unhalved_propagate(gen, field, dt, substeps):
+    """propagate's stage on the unhalved system: (I - c A) y = v by dgttrf in 1D,
+    or by BiCGSTAB on the DIA bands from x0 = v in 2D/3D, then 2 y - v; the same
+    clamp, column by column."""
+    A = gen.matrix
+    c = dt / (2 * substeps)
+    if gen.grid.dim == 1:
+        *lu, info = lapack.dgttrf(-c * A.diagonal(-1), 1.0 - c * A.diagonal(), -c * A.diagonal(1))
+        assert info == 0
+
+        def solve(col):
+            return lapack.dgttrs(*lu, col)[0]
+    else:
+        lhs = -c * A
+        lhs.setdiag(1.0 - c * A.diagonal())
+        inv_diag = 1.0 / lhs.diagonal()
+        precond = LinearOperator(lhs.shape, matvec=lambda x: inv_diag * x)
+
+        def solve(col):
+            y, info = bicgstab(lhs, col, x0=col, rtol=5e-11, atol=0.0, M=precond, maxiter=2000)
+            assert info == 0
+            return y
+    cols = field.values.reshape(len(field.values), -1).T.copy()
+    clamped = np.zeros(len(cols))
+    w = field.grid.trap_weights
+    for s, v in enumerate(cols):
+        for _ in range(substeps):
+            y = solve(v)
+            y *= 2.0
+            y -= v
+            v = y
+        neg = v < 0
+        if neg.any():
+            clamped[s] = -np.sum(v[neg] * w[neg])
+            v[neg] = 0.0
+        v[field.grid.boundary_mask] = 0.0
+        cols[s] = v
+    return cols.T.reshape(field.values.shape), clamped
+
+
+@pytest.mark.parametrize("name, dim, points, substeps", [
+    ("cubic_sensor", None, 241, 8),  # the clamp runs
+    ("linearNd", 2, 31, 4),
+    ("linearNd", 3, 21, 4),
+])
+def test_halved_cn_system_is_exact(name, dim, points, substeps):
+    # propagate solves (I - c A)/2 y = v and takes y - v; scaling a system by 2
+    # is exact in binary, so each stage equals 2 (I - c A)^{-1} v - v bit for bit.
+    m = builtin_model(name, dim)
+    g = build_grid(m.dim, 6.0, points)
+    gen = assemble_generator(m, g)
+    init = discretize_initial(m, g).values
+    batch = DensityField(g, np.column_stack([init, np.roll(init, 3)]), np.zeros(2), np.zeros(2))
+    for field in (DensityField(g, init), batch):
+        for dt in (0.01, 0.05):
+            out = propagate(gen, field, dt, substeps)
+            values, clamped = _unhalved_propagate(gen, field, dt, substeps)
+            np.testing.assert_array_equal(out.values, values)
+            np.testing.assert_array_equal(np.ravel(out.clamped_mass), clamped)
+            if name == "cubic_sensor":
+                assert np.all(clamped > 0)
+
+
 def test_batch_clamp_is_per_column():
     # At one substep the cubic sensor's prior undershoots (clamped mass 1.9e-3),
     # and so does the prior shifted by 1 (1.5e-2), at other nodes; a narrow bump
@@ -892,6 +955,30 @@ def test_exp_update_names_a_mismatched_increment(linear1d, grid_1d_fine, paths, 
              rf"field of shape {re.escape(str(field.values.shape))}")
     with pytest.raises(ValueError, match=named):
         exp_update(field, linear1d.observation(grid_1d_fine.coords), np.zeros(dy_shape))
+
+
+@pytest.mark.parametrize("dim, points", [(1, 241), (2, 41), (3, 21)])
+@pytest.mark.parametrize("support", [True, False])
+def test_one_field_is_its_one_column_batch_bit_for_bit(dim, points, support):
+    # exp_update and integrate have one path: a lone field runs as a batch of one
+    # column.  A field with no support takes no shift.
+    m = builtin_model("linearNd", dim) if dim > 1 else builtin_model("benes")
+    g = build_grid(dim, 6.0, points)
+    h = assemble_generator(m, g).observation
+    v = discretize_initial(m, g).values if support else np.zeros(g.n_nodes)
+    dy = np.linspace(0.7, -0.4, dim)
+    one = exp_update(DensityField(g, v, 0.25), h, dy)
+    col = exp_update(DensityField(g, v[:, None], np.full(1, 0.25), np.zeros(1)), h, dy[None])
+    np.testing.assert_array_equal(one.values, col.values[:, 0])
+    np.testing.assert_array_equal([one.log_scale], col.log_scale)
+    expo = h @ dy  # the direct formula, shifted by its maximum over the support
+    shift = expo.max(where=v > 0, initial=-np.inf) if support else 0.0
+    np.testing.assert_array_equal(one.values, np.exp(expo - shift) * v)
+    assert np.shape(one.log_scale) == () and one.log_scale == 0.25 + shift
+    for weight in (None, g.coords[:, 0]):
+        whole = integrate(one, weight)
+        assert isinstance(whole, float)
+        np.testing.assert_array_equal([whole], integrate(col, weight))
 
 
 def test_integrate_constant_on_interval():
