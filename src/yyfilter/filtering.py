@@ -103,8 +103,8 @@ def run_filter(
     Raises ValueError if `substeps` is not an integer >= 1 or the batch is
     empty (both before any set-up), if a path is on another schedule or
     `generator` was assembled on another grid, and MassCollapseError if the mantissa mass
-    drops below 1e-300 before renormalization or if a propagation step
-    clamps more than CLAMP_TOLERANCE of the field mass.
+    is not at least 1e-300 before renormalization (NaN included) or if a
+    propagation step clamps more than CLAMP_TOLERANCE of the field mass.
     """
     check_count("substeps", substeps)
     single, paths = as_batch(obs, ObservationPath, "observation paths")
@@ -120,32 +120,27 @@ def run_filter(
         )
     phi_nodes = [np.asarray(phi(grid.coords), dtype=float) for phi in test_functions]
 
-    K = schedule.steps
     dt = schedule.dt
-    # one entry per knot in the loop; split into one array per path at the end
-    est, mass_m, mass_ls, clamped = [], [], [], []
+    rows = []  # per knot: mass mantissa, log-scale, clamped mass, then the estimates
 
     def at(k, s):
         path = "" if single else f", path {s}"
         return (f"at knot {k} (t={k * dt:g}, dt={dt:g}, substeps={substeps}{path}) "
                 f"on a mesh with dx={grid.spacing:g}")
 
-    any_of = bool if single else np.any  # a check reads a scalar on one path
+    any_of = bool if single else np.count_nonzero  # a check reads a scalar on one path
 
     def record(k, fld):
         m = integrate(fld)
-        low = m < 1e-300
+        low = ~(m >= 1e-300)  # a NaN mass is refused too
         if any_of(low):
             raise MassCollapseError(f"field mass collapsed {at(k, np.argmax(low))}")
-        mass_m.append(m)
-        est.append([integrate(fld, pv) / m for pv in phi_nodes])
-        mass_ls.append(fld.log_scale)
-        clamped.append(fld.clamped_mass)
+        ests = [integrate(fld, pv) / m for pv in phi_nodes]
+        rows.append([m, fld.log_scale, fld.clamped_mass, *ests])
         return m
 
     mass = record(0, field)
-    h = gen.observation
-    for k in range(1, K + 1):
+    for k, dy in enumerate(increments, 1):
         field = propagate(gen, field, dt, substeps)
         over = field.clamped_mass > CLAMP_TOLERANCE * mass
         if any_of(over):
@@ -156,22 +151,15 @@ def run_filter(
             )
         if field_hook is not None:
             field_hook(k, "propagated", field)
-        field = exp_update(field, h, increments[k - 1])
+        field = exp_update(field, gen.observation, dy)
         if field_hook is not None:
             field_hook(k, "updated", field)
         mass = record(k, field)
-        field = DensityField(
-            grid, field.values / mass, field.log_scale + np.log(mass), field.clamped_mass
-        )
+        field = DensityField(grid, field.values / mass, field.log_scale + np.log(mass),
+                             field.clamped_mass)
         mass = 1.0
 
-    est = np.reshape(est, (K + 1, len(test_functions), S)).transpose(2, 0, 1).copy()
-    mass_m, mass_ls, clamped = (
-        np.reshape(a, (K + 1, S)).T.copy() for a in (mass_m, mass_ls, clamped)
-    )
+    tables = np.reshape(rows, (len(rows), -1, S)).transpose(2, 1, 0).copy()  # one per path
     labels = tuple(phi.label for phi in test_functions)
-    outs = [
-        FilterOutput(schedule, labels, est[s], mass_m[s], mass_ls[s], clamped[s])
-        for s in range(S)
-    ]
+    outs = [FilterOutput(schedule, labels, t[3:].T.copy(), *t[:3]) for t in tables]
     return outs[0] if single else outs

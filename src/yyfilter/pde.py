@@ -21,10 +21,10 @@ is prepared once per generator and step size, on first use: in 1D an LU
 factorization of the tridiagonal matrix (LAPACK ?gttrf), in 2D/3D its bands
 and their Jacobi preconditioner for BiCGSTAB at relative residual 5e-11.
 
-Fields carry a log-scale factor: a DensityField represents
-exp(log_scale) * values so the online loop never underflows; integrals
-read the stored values.  Renormalization policy lives in the filter
-loop, not here.
+Fields carry a log-scale factor: a DensityField (a named tuple, built three
+times a knot) represents exp(log_scale) * values so the online loop never
+underflows; integrals read the stored values.  Renormalization policy lives
+in the filter loop, not here.
 """
 
 from __future__ import annotations
@@ -144,9 +144,8 @@ def mollifier(grid: Grid) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class DensityField:
-    """Grid-sampled nonnegative field representing exp(log_scale) * values.
+class DensityField(NamedTuple):
+    """Grid-sampled nonnegative field representing exp(log_scale) * values; a named tuple.
 
     `values` is (N,) for one field, or (N, S) for a batch of S fields, one
     per column, whose `log_scale` and `clamped_mass` are then (S,) arrays.
@@ -334,7 +333,7 @@ def propagate(
     column and only when there is any, and the removed mass is recorded on the
     result's `clamped_mass`.  A batch field takes one tridiagonal solve for all
     its columns in 1D and one BiCGSTAB solve per column on the bands of
-    (I - c A)/2 in 2D/3D.
+    (I - c A)/2 in 2D/3D.  A NaN or infinity in the result raises SolverError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -345,10 +344,12 @@ def propagate(
         y = cn.solve(v)
         y -= v
         v = y
-    if not np.isfinite(v).all():
+    flat = v.ravel("K")  # a view in memory order; an arg-reduction skips the ufunc machinery
+    low = flat[flat.argmin()]  # argmin and argmax pick a NaN if there is one; it fails every test
+    if not -np.inf < low <= flat[flat.argmax()] < np.inf:
         raise SolverError("propagation produced non-finite values")
     clamped = np.zeros(v.shape[1:])
-    if v.min() < 0:
+    if low < 0:
         w = field.grid.trap_weights
         cols = v.reshape(len(v), -1)
         neg = cols < 0
@@ -364,9 +365,10 @@ def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityFie
 
     `h` is the (N, d) table of h at the nodes, `DiscreteGenerator.observation`.
     The maximum of the exponent over the field's support moves into
-    log_scale, so the stored values never exceed their previous size.  One
-    field takes `dy` of shape (d,) or (1, d), a batch field one increment per
-    column, (S, d); any other shape raises ValueError.
+    log_scale, so the stored values never exceed their previous size; the shifted
+    exponent is clamped at 0, so it cannot overflow to inf * 0 = NaN off the support.
+    One field takes `dy` of shape (d,) or (1, d), a batch field one increment per
+    column, (S, d), and comes back in Fortran order; any other shape raises ValueError.
     """
     vals = field.values
     dys = np.asarray(dy, dtype=float)
@@ -374,22 +376,32 @@ def exp_update(field: DensityField, h: np.ndarray, dy: np.ndarray) -> DensityFie
     if dys.shape not in (((d,), (1, d)) if vals.ndim == 1 else ((vals.shape[1], d),)):
         raise ValueError(f"observation increment of shape {dys.shape} does not fit a field "
                          f"of shape {vals.shape} with h of shape {h.shape}")
-    if not np.isfinite(dys).all():
+    if np.count_nonzero(np.isfinite(dys)) < dys.size:
         raise ValueError("observation increment must be finite")
-    # one field is a batch of one column here, whose shift is (1,) where a batch's is (1, S)
-    expo = _batch_exponent(h, dys.reshape(-1, d)).reshape(vals.shape)
-    shift = expo.max(axis=0, where=vals > 0, initial=-np.inf, keepdims=True)
-    shift[shift == -np.inf] = 0.0  # no support: no shift
+    one = vals.ndim == 1  # a lone field's exponent and float shift skip a batch's round trips
+    ys = dys.reshape(-1, d)
+    expo = h[:, 0] * ys[0] if one and d == 1 else _batch_exponent(h, ys).reshape(vals.shape)
+    shift = np.maximum.reduce(expo, axis=0, where=vals > 0, initial=-np.inf)
+    if one:
+        shift = 0.0 if shift == -np.inf else float(shift)  # no support: no shift
+    else:
+        shift[shift == -np.inf] = 0.0
     expo -= shift
+    np.minimum(expo, 0.0, out=expo)
     vals = np.multiply(np.exp(expo, out=expo), vals, out=expo)
-    return DensityField(field.grid, vals, field.log_scale + shift[0], field.clamped_mass)
+    return DensityField(field.grid, vals, field.log_scale + shift, field.clamped_mass)
 
 
 def _batch_exponent(h: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(N, S): h^T y at the nodes for each row y of the (S, d) `ys`: for d = 1 the
-    broadcast product, which is the inner-dimension-1 matmul's bit for bit; column by
-    column when d > 1, where a gemm over the batch would sum in another order than a gemv."""
-    return h * ys.T if h.shape[1] == 1 else np.column_stack([h @ y for y in ys])
+    """(N, S) in Fortran order: h^T y at the nodes for each row y of the (S, d) `ys`: for
+    d = 1 the broadcast product, which is the inner-dimension-1 matmul's bit for bit; one
+    gemv per column when d > 1, where a gemm over the batch would sum in another order."""
+    if h.shape[1] == 1:
+        return (ys * h.T).T
+    expo = np.empty((len(ys), len(h))).T
+    for s, y in enumerate(ys):
+        np.matmul(h, y, out=expo[:, s])
+    return expo
 
 
 def integrate(field: DensityField, weight: Optional[np.ndarray] = None):

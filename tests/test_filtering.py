@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yyfilter.filtering import MassCollapseError, estimate, run_filter
+from yyfilter.filtering import CLAMP_TOLERANCE, MassCollapseError, estimate, run_filter
 from yyfilter.models import (
     AssumptionProfile,
     FilterModel,
@@ -20,13 +21,16 @@ from yyfilter.models import (
 )
 from yyfilter.pde import (
     DensityField,
+    SolverError,
+    _cn_system,
     assemble_generator,
     build_grid,
     discretize_initial,
     exp_update,
+    integrate,
     propagate,
 )
-from yyfilter.sde import observation_increments, simulate
+from yyfilter.sde import ObservationPath, observation_increments, simulate
 from yyfilter.baselines import agreement, kalman_filter
 
 
@@ -390,19 +394,193 @@ def test_online_loop_makes_no_observation_callback():
 
 def test_run_filter_calls_the_filtering_module_primitives(monkeypatch):
     # The benchmark's tracer wraps these by attribute assignment on
-    # yyfilter.filtering; a loop that bound them elsewhere would read 0.
+    # yyfilter.filtering and reads the substep count from propagate's args[3]; a
+    # loop that bound them elsewhere, skipped one, or passed substeps by keyword
+    # would read 0 or a wrong count.
     import yyfilter.filtering
 
     model = builtin_model("linear1d")
     grid = build_grid(1, 4.0, 81)
     schedule = TimeSchedule(0.2, 20)
     _, obs = simulate(model, schedule, seed=9)
-    calls = {"propagate": 0, "exp_update": 0}
+    calls = {"propagate": [], "exp_update": []}
     for name in calls:
         def counted(*args, _fn=getattr(yyfilter.filtering, name), _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append((args, kwargs))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(yyfilter.filtering, name, counted)
-    run_filter(model, grid, schedule, obs, [coordinate(0)])
-    assert calls == {"propagate": schedule.steps, "exp_update": schedule.steps}
+    run_filter(model, grid, schedule, obs, [coordinate(0)], substeps=3)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "propagate": schedule.steps, "exp_update": schedule.steps}
+    assert all(len(args) > 3 and args[3] == 3 and not kwargs
+               for args, kwargs in calls["propagate"])
+
+
+def _cubic_loud_path(y2):
+    # Y = (0, 0, y2) on a 25-node cubic_sensor grid: at knot 2 with y2 = 20 the
+    # shifted exponent x^3 dY - shift overflows at the boundary nodes, where the
+    # field is 0; y2 = 10 stays in range.
+    model = builtin_model("cubic_sensor")
+    grid = build_grid(1, 6.0, 25)
+    schedule = TimeSchedule(0.002, 2)
+    return model, grid, schedule, ObservationPath(schedule, np.array([[0.0], [0.0], [y2]]))
+
+
+@pytest.mark.parametrize("y2", [10.0, 20.0])
+def test_update_overflowing_off_the_support_stays_finite(y2):
+    model, grid, schedule, obs = _cubic_loud_path(y2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning either
+        out = run_filter(model, grid, schedule, obs, [coordinate(0)])
+    assert np.isfinite(out.mass_mantissa).all() and np.isfinite(out.mass_log_scale).all()
+    assert out.column("x1")[2] == pytest.approx(5.5, abs=1e-12)  # the node nearest the peak
+
+
+def test_a_nan_mass_is_refused(monkeypatch):
+    import yyfilter.filtering
+
+    def poisoned(field, h, dy):
+        out = exp_update(field, h, dy)
+        out.values[len(out.values) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(yyfilter.filtering, "exp_update", poisoned)
+    model, grid, schedule, obs = _cubic_loud_path(1.0)
+    with pytest.raises(MassCollapseError, match=r"field mass collapsed at knot 1 "):
+        run_filter(model, grid, schedule, obs, [coordinate(0)])
+
+
+# ---------------------------------------------------------------------------
+# Reference online loop: run_filter, propagate and exp_update as they stood
+# before the loop's per-knot bookkeeping was cut (a dataclass field, a boolean
+# boundary mask, isfinite plus min, per-knot lists reshaped after the loop,
+# and a one-column batch exponent).  The package must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_propagate(gen, field, dt, substeps):
+    cn = _cn_system(gen, dt / (2 * substeps))
+    v = np.asarray(field.values, dtype=float)
+    for _ in range(substeps):
+        y = cn.solve(v)
+        y -= v
+        v = y
+    if not np.isfinite(v).all():
+        raise SolverError("propagation produced non-finite values")
+    clamped = np.zeros(v.shape[1:])
+    if v.min() < 0:
+        w = field.grid.trap_weights
+        cols = v.reshape(len(v), -1)
+        neg = cols < 0
+        for s in np.flatnonzero(neg.any(axis=0)):
+            clamped.flat[s] = -np.sum(cols[neg[:, s], s] * w[neg[:, s]])
+            cols[neg[:, s], s] = 0.0
+    v[field.grid.boundary_mask] = 0.0
+    return DensityField(field.grid, v, field.log_scale, clamped if v.ndim == 2 else float(clamped))
+
+
+def _ref_exp_update(field, h, dy):
+    vals = field.values
+    d = h.shape[1]
+    ys = np.asarray(dy, dtype=float).reshape(-1, d)
+    expo = h * ys.T if d == 1 else np.column_stack([h @ y for y in ys])
+    expo = expo.reshape(vals.shape)
+    shift = expo.max(axis=0, where=vals > 0, initial=-np.inf, keepdims=True)
+    shift[shift == -np.inf] = 0.0
+    expo -= shift
+    vals = np.multiply(np.exp(expo, out=expo), vals, out=expo)
+    return DensityField(field.grid, vals, field.log_scale + shift[0], field.clamped_mass)
+
+
+def _ref_run_filter(model, grid, schedule, obs, test_functions, substeps, gen, field_hook=None):
+    """Per path: estimates, mass mantissa, mass log-scale and clamped mass."""
+    single = isinstance(obs, ObservationPath)
+    paths = [obs] if single else list(obs)
+    increments = np.stack([observation_increments(p, schedule) for p in paths], axis=1)
+    field = discretize_initial(model, grid)
+    S = len(paths)
+    if not single:
+        field = DensityField(
+            grid, np.repeat(field.values[:, None], S, axis=1), np.zeros(S), np.zeros(S)
+        )
+    phi_nodes = [np.asarray(phi(grid.coords), dtype=float) for phi in test_functions]
+    K = schedule.steps
+    dt = schedule.dt
+    est, mass_m, mass_ls, clamped = [], [], [], []
+
+    def record(fld):
+        m = integrate(fld)
+        assert np.all(m >= 1e-300)
+        mass_m.append(m)
+        est.append([integrate(fld, pv) / m for pv in phi_nodes])
+        mass_ls.append(fld.log_scale)
+        clamped.append(fld.clamped_mass)
+        return m
+
+    mass = record(field)
+    for k in range(1, K + 1):
+        field = _ref_propagate(gen, field, dt, substeps)
+        assert np.all(field.clamped_mass <= CLAMP_TOLERANCE * mass)
+        if field_hook is not None:
+            field_hook(k, "propagated", field)
+        field = _ref_exp_update(field, gen.observation, increments[k - 1])
+        if field_hook is not None:
+            field_hook(k, "updated", field)
+        mass = record(field)
+        field = DensityField(
+            grid, field.values / mass, field.log_scale + np.log(mass), field.clamped_mass
+        )
+        mass = 1.0
+
+    est = np.reshape(est, (K + 1, len(test_functions), S)).transpose(2, 0, 1).copy()
+    mass_m, mass_ls, clamped = (
+        np.reshape(a, (K + 1, S)).T.copy() for a in (mass_m, mass_ls, clamped)
+    )
+    return [(est[s], mass_m[s], mass_ls[s], clamped[s]) for s in range(S)]
+
+
+_REFERENCE_CASES = {
+    # model, dim, radius, points, dt, steps, seeds, substeps, field hook
+    "one-path-1d": ("linear1d", 1, 6.0, 241, 0.001, 300, [4], 4, False),
+    "batch-1d": ("linear1d", 1, 6.0, 241, 0.001, 300, [4, 5, 6], 4, False),
+    "batch-2d": ("linearNd", 2, 4.0, 31, 0.02, 10, [1, 2, 3], 2, False),
+    "cubic-clamped-8-substeps": ("cubic_sensor", 1, 6.0, 241, 0.001, 40, [2], 8, False),
+    "batch-1d-hooked": ("linear1d", 1, 6.0, 241, 0.001, 50, [4, 5], 4, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_online_loop_matches_the_reference_loop_bit_for_bit(case):
+    name, dim, radius, points, dt, steps, seeds, substeps, hooked = _REFERENCE_CASES[case]
+    model = builtin_model(name, dim if name == "linearNd" else None)
+    grid = build_grid(dim, radius, points)
+    gen = assemble_generator(model, grid)
+    schedule = TimeSchedule(dt * steps, steps)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=4, seed=seeds)]
+    obs = obs[0] if len(seeds) == 1 else obs
+    phis = [coordinate(0), squared_coordinate(dim - 1)]
+    seen = {"package": [], "reference": []}
+
+    def hook(side):
+        def record(k, stage, f):
+            seen[side].append((k, stage, f.values.copy(), np.copy(f.log_scale),
+                               np.copy(f.clamped_mass)))
+        return record if hooked else None
+
+    got = run_filter(model, grid, schedule, obs, phis, substeps=substeps, generator=gen,
+                     field_hook=hook("package"))
+    want = _ref_run_filter(model, grid, schedule, obs, phis, substeps, gen, hook("reference"))
+    got = [got] if len(seeds) == 1 else got
+    for out, (est, mass_m, mass_ls, clamped) in zip(got, want, strict=True):
+        np.testing.assert_array_equal(out.estimates, est)
+        np.testing.assert_array_equal(out.mass_mantissa, mass_m)
+        np.testing.assert_array_equal(out.mass_log_scale, mass_ls)
+        np.testing.assert_array_equal(out.clamped_mass, clamped)
+    if name == "cubic_sensor":
+        assert np.count_nonzero(got[0].clamped_mass) > 0  # the clamp branch ran
+    assert len(seen["package"]) == len(seen["reference"]) == (2 * steps if hooked else 0)
+    for a, b in zip(seen["package"], seen["reference"]):
+        assert a[:2] == b[:2]
+        for x, y in zip(a[2:], b[2:]):
+            np.testing.assert_array_equal(x, y)

@@ -31,6 +31,7 @@ from yyfilter.pde import (
     integrate,
     mollifier,
     propagate,
+    _batch_exponent,
     _cn_system,
 )
 
@@ -979,6 +980,19 @@ def test_one_field_is_its_one_column_batch_bit_for_bit(dim, points, support):
         whole = integrate(one, weight)
         assert isinstance(whole, float)
         np.testing.assert_array_equal([whole], integrate(col, weight))
+
+
+@pytest.mark.parametrize("dim, points", [(2, 41), (3, 21)])
+@pytest.mark.parametrize("paths", [1, 3])
+def test_batch_exponent_writes_each_gemv_in_place_bit_for_bit(dim, points, paths):
+    # Each column is written by its own gemv into the (N, S) exponent; it must
+    # equal the stacked per-column products bit for bit.
+    g = build_grid(dim, 6.0, points)
+    h = assemble_generator(builtin_model("linearNd", dim), g).observation
+    ys = np.random.default_rng(dim * 10 + paths).normal(size=(paths, dim)) * 10.0 ** np.arange(dim)
+    expo = _batch_exponent(h, ys)
+    assert expo.shape == (g.n_nodes, paths) and expo.flags.f_contiguous
+    np.testing.assert_array_equal(expo, np.column_stack([h @ y for y in ys]))
 
 
 def test_integrate_constant_on_interval():
