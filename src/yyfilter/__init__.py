@@ -17,7 +17,6 @@ from .models import (
     coordinate,
     coordinate_product,
     squared_coordinate,
-    validate_assumptions,
 )
 from .pde import (
     DensityField,
@@ -41,4 +40,5 @@ from .diagnostics import (
     l4_stability_check,
     radius_sweep,
     tail_mass,
+    validate_assumptions,
 )

@@ -5,10 +5,8 @@ kalman_filter     exact continuous-discrete recursion for linear models; its
                   kept across calls, so results share one read-only `covs`
 ks_monte_carlo    reference-measure importance sampler (Bayes-ratio weights)
 bootstrap_pf      bootstrap particle filter with systematic resampling
-ORACLES           the one table of oracles: a name maps to one call over a batch
-                  of paths.  `yyfilter baseline` takes the names in BASELINES,
-                  the dt sweep those in SWEEP_ORACLES; `fine_oracle` is the grid
-                  filter on the mesh refined twice per axis.
+ORACLES           the one table of baselines: a name maps to one call over a batch
+                  of paths; `yyfilter baseline` takes any of its names.
 agreement         one path's mean |estimate - reference| and share within 3 se
 
 All are deterministic given their seeds.  Particle estimators report
@@ -31,10 +29,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .filtering import run_filter
 from .models import (FilterModel, TestFunction, TimeSchedule, check_count,
                      parse_test_function, readout_index)
-from .pde import build_grid
 from .sde import PATH_SUBSTEPS, ObservationPath, as_batch, observation_increments, _rng_for
 from .tables import csv_table
 
@@ -373,31 +369,24 @@ def bootstrap_pf(
     return record.result()
 
 
-# Every oracle: fn(model, grid, schedule, paths, test_functions, seeds, substeps,
-# particles) -> one result per path, each reading a label through column(label).
-# `substeps` is the grid filter's Crank-Nicolson stage count, read by fine_oracle only.
-# The particle entries draw from the path's seed plus this offset, away from
-# the path's own stream, which drew the hidden X_0.
+# Every oracle: fn(model, schedule, paths, test_functions, seeds, particles) -> one
+# result per path, each reading a label through column(label).  The particle
+# entries draw from the path's seed plus this offset, away from the path's own
+# stream, which drew the hidden X_0.
 PARTICLE_SEED_OFFSET = 1000
 
 
-def _kalman(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+def _kalman(model, schedule, paths, test_functions, seeds, particles):
     return kalman_filter(model, schedule, paths)
 
 
-def _refined_grid_filter(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
-    """The grid filter on the mesh refined twice per axis."""
-    fine = build_grid(grid.dim, grid.radius, 2 * (grid.points_per_axis - 1) + 1)
-    return run_filter(model, fine, schedule, paths, test_functions, substeps)
-
-
-def _bootstrap_pf(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+def _bootstrap_pf(model, schedule, paths, test_functions, seeds, particles):
     return [bootstrap_pf(model, schedule, ys, test_functions, particles,
                          seed=seed + PARTICLE_SEED_OFFSET)
             for seed, ys in zip(seeds, paths)]
 
 
-def _ks_monte_carlo(model, grid, schedule, paths, test_functions, seeds, substeps, particles):
+def _ks_monte_carlo(model, schedule, paths, test_functions, seeds, particles):
     return [ks_monte_carlo(model, schedule, ys, test_functions, particles,
                            seed=seed + PARTICLE_SEED_OFFSET)
             for seed, ys in zip(seeds, paths)]
@@ -405,12 +394,9 @@ def _ks_monte_carlo(model, grid, schedule, paths, test_functions, seeds, substep
 
 ORACLES = {
     "kalman": _kalman,
-    "fine_oracle": _refined_grid_filter,
     "bootstrap_pf": _bootstrap_pf,
     "ks_monte_carlo": _ks_monte_carlo,
 }
-BASELINES = ("kalman", "bootstrap_pf", "ks_monte_carlo")
-SWEEP_ORACLES = ("kalman", "fine_oracle")
 LINEAR_ORACLES = ("kalman",)  # refused, before any compute, on a model not declared linear
 
 

@@ -19,9 +19,8 @@ import numpy as np
 from . import __version__
 from .baselines import LINEAR_ORACLES, ORACLES, ParticleResult, agreement
 from .config import ConfigError, ExperimentConfig, load_config
-from .diagnostics import check_dt_levels, convergence_sweep, radius_sweep
+from .diagnostics import check_dt_levels, convergence_sweep, radius_sweep, validate_assumptions
 from .filtering import run_filter
-from .models import validate_assumptions
 from .pde import build_grid
 from .sde import PATH_SUBSTEPS, paths_to_csv, simulate
 from .tables import csv_table
@@ -83,8 +82,7 @@ def cmd_baseline(cfg: ExperimentConfig, out_dir: Path) -> int:
     label = phis[0].label
     obs = [ys for _, ys in _simulate(cfg)]
     outs = run_filter(model, grid, schedule, obs, phis[:1], substeps=cfg.substeps)
-    results = ORACLES[cfg.baseline](model, grid, schedule, obs, phis, cfg.seeds, cfg.substeps,
-                                    cfg.particles)
+    results = ORACLES[cfg.baseline](model, schedule, obs, phis, cfg.seeds, cfg.particles)
     particle = isinstance(results[0], ParticleResult)
     gaps, shares = zip(*(
         agreement(out.estimates[:, 0], res.column(label),

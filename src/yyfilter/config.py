@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .baselines import BASELINES, SWEEP_ORACLES
-from .diagnostics import check_radius_levels
+from .baselines import ORACLES
+from .diagnostics import SWEEP_ORACLES, check_radius_levels
 from .filtering import DEFAULT_SUBSTEPS
 from .models import FilterModel, TimeSchedule, _REGISTRY_NAMES, builtin_model, parse_test_function
 
@@ -137,7 +137,7 @@ CONFIG_KEYS = (
     Key("schedule", "steps", "steps", _int, None),
     Key("filter", "substeps", "substeps", _int, str(DEFAULT_SUBSTEPS)),
     Key("filter", "test_functions", "test_function_labels", _labels, "x1"),
-    Key("baseline", "method", "baseline", _names(*BASELINES), "kalman"),
+    Key("baseline", "method", "baseline", _names(*ORACLES), "kalman"),
     Key("baseline", "particles", "particles", _int, "10000"),
     Key("sweep", "axis", "sweep_axis", _names("dt", "R"), "dt"),
     Key("sweep", "values", "sweep_values", _floats, "0.02, 0.01, 0.005"),

@@ -6,8 +6,11 @@ exp_moment_step_check         one-step quartic-mass amplification law
 quartic_growth_profile        deterministic L4 growth under pure propagation
 check_dt_levels               the dt sweep's rule for its swept values
 check_radius_levels           the radius sweep's rule for its swept values
-convergence_sweep             estimate error against an oracle across dt
+convergence_sweep             estimate error against an oracle across dt: Kalman,
+                              or fine_oracle, the grid filter on the mesh refined
+                              twice per axis, run as one more level of the sweep
 radius_sweep                  estimate drift and tail mass across domain radii
+validate_assumptions          sampled spot checks of a model's declared constants
 
 Expectations over observation paths are Monte-Carlo averages over
 simulated (state, observation) pairs with reported standard errors; the
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .baselines import LINEAR_ORACLES, ORACLES, SWEEP_ORACLES, agreement
+from .baselines import LINEAR_ORACLES, agreement, kalman_filter
 from .filtering import DEFAULT_SUBSTEPS, run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
 from .pde import (
@@ -302,6 +305,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray):
     return float(beta[1]), 1.96 * math.sqrt(cov[1, 1])
 
 
+SWEEP_ORACLES = ("kalman", "fine_oracle")  # the dt sweep's references
 # The oracle and the simulated paths run at the finest swept dt divided by this.
 _ORACLE_REFINE = 4
 # Euler substeps per knot of every path the sweeps and the L4 check simulate,
@@ -381,7 +385,8 @@ def convergence_sweep(
     _ORACLE_REFINE, with _PATH_SUBSTEPS Euler substeps per knot, and
     subsampled to every coarser level; the oracle (near-exact reference,
     one of SWEEP_ORACLES) is computed once at that simulation resolution
-    and read at coarse knots, in one oracle run over the batch of paths.
+    and read at coarse knots: Kalman in one run over the batch of paths,
+    fine_oracle as one more level of the sweep's batched filter runs.
     Returns per-dt means with standard errors over seeds (at least two)
     and the fitted log-log slope (NaN, flagged in the summary, when fewer
     than three levels are given).
@@ -400,12 +405,16 @@ def convergence_sweep(
     k_sim = round(terminal / finest) * _ORACLE_REFINE
     sim_sched = TimeSchedule(terminal, k_sim)
     paths = [ys for _, ys in simulate(model, sim_sched, substeps=_PATH_SUBSTEPS, seed=seeds)]
-    refs = [res.column(phi.label) for res in ORACLES[oracle](
-        model, grid, sim_sched, paths, (phi,), seeds, substeps, None)]
 
     gen = assemble_generator(model, grid)
     strides = [k_sim // round(terminal / dt) for dt in deltas]
-    runs = _run_levels(model, paths, [(stride, gen) for stride in strides], (phi,), substeps)
+    levels = [(stride, gen) for stride in strides]
+    if oracle == "fine_oracle":  # one more level: the mesh refined twice per axis, at stride 1
+        fine = build_grid(grid.dim, grid.radius, 2 * (grid.points_per_axis - 1) + 1)
+        levels.append((1, assemble_generator(model, fine)))
+    runs = _run_levels(model, paths, levels, (phi,), substeps)
+    oracle_runs = runs.pop() if oracle == "fine_oracle" else kalman_filter(model, sim_sched, paths)
+    refs = [res.column(phi.label) for res in oracle_runs]
     err_matrix = np.array([
         [agreement(out.estimates[:, 0], ref[::stride])[0] for out, ref in zip(outs, refs)]
         for stride, outs in zip(strides, runs)
@@ -461,3 +470,153 @@ def radius_sweep(
     slope, half = _loglog_slope(np.asarray(radii[:-1]), np.maximum(mean_err[:-1], 1e-300))
     return SweepResult(axis="R", values=np.asarray(radii), mean_err=mean_err, stderr=stderr,
                        n=len(seeds), slope=slope, slope_halfwidth=half, extras=extras)
+
+
+# ---------------------------------------------------------------------------
+# Assumption validation: statistical spot checks, never symbolic.
+# ---------------------------------------------------------------------------
+
+
+class CoefficientError(ValueError):
+    """A coefficient callback returned a non-finite or malformed value."""
+
+
+@dataclass
+class AssumptionCheck:
+    label: str
+    passed: bool
+    detail: str
+
+
+@dataclass
+class ValidationReport:
+    """Per-assumption spot-check outcomes on a ball of given radius."""
+
+    domain_radius: float
+    sampled_lipschitz: float
+    sampled_eig_min: float
+    moments: np.ndarray
+    checks: list
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def __str__(self):
+        lines = [f"validation on |x| <= {self.domain_radius}:"]
+        for c in self.checks:
+            lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.label}: {c.detail}")
+        return "\n".join(lines)
+
+
+def _sample_ball(rng, n, d, radius):
+    u = rng.standard_normal((n, d))
+    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
+    r = radius * rng.random(n) ** (1.0 / d)
+    return u * r[:, None]
+
+
+def _require_finite(values, name, points):
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1))
+        idx = int(bad[0, 0]) if bad.size else 0
+        raise CoefficientError(f"{name} returned a non-finite value at point {points[idx]}")
+    return values
+
+
+def validate_assumptions(
+    model: FilterModel,
+    domain_radius: float,
+    samples: int = 2000,
+    seed: int = 0,
+    test_functions: Sequence[TestFunction] = (),
+) -> ValidationReport:
+    """Spot-check the declared regularity constants by sampling.
+
+    Checks, on the ball of the given radius: the drift difference
+    quotient against the declared Lipschitz constant, the smallest
+    eigenvalue of g g^T against the declared ellipticity floor, finiteness
+    of the numerically integrated initial-density moments up to the
+    declared order, and each test function against the declared growth
+    envelope L (1 + |x|^{2m}).
+    Failures are reported in the result, not raised; non-finite
+    coefficient evaluations raise CoefficientError naming the
+    coefficient and the point.
+    """
+    if domain_radius <= 0:
+        raise ValueError("domain_radius must be positive")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    prof = model.assumptions
+
+    x = _sample_ball(rng, samples, d, domain_radius)
+    y = _sample_ball(rng, samples, d, domain_radius)
+    # Nearby pairs catch local slope maxima that far pairs average away.
+    y_near = x + 1e-3 * _sample_ball(rng, samples, d, 1.0)
+
+    fx = _require_finite(model.drift(x), "drift", x)
+    _require_finite(model.observation(x), "observation", x)
+    checks = []
+
+    quotients = []
+    for yy in (y, y_near):
+        fy = _require_finite(model.drift(yy), "drift", yy)
+        gap = np.linalg.norm(x - yy, axis=1)
+        ok = gap > 1e-12
+        quotients.append(np.linalg.norm(fx - fy, axis=1)[ok] / gap[ok])
+    sampled_lip = float(np.max(np.concatenate(quotients)))
+    checks.append(
+        AssumptionCheck(
+            "A1 drift Lipschitz",
+            sampled_lip <= prof.lipschitz * 1.01,
+            f"sampled quotient {sampled_lip:.6g} vs declared {prof.lipschitz}",
+        )
+    )
+
+    a = model.constant_diffusion_sq  # (d, d), or one a per sample below
+    if a is None:
+        a = _require_finite(model.diffusion_sq(x), "diffusion_sq", x)
+    eig_min = float(np.min(a[..., 0, 0] if d == 1 else np.linalg.eigvalsh(a)[..., 0]))
+    checks.append(
+        AssumptionCheck(
+            "A2 ellipticity",
+            eig_min >= prof.ellipticity * 0.99,
+            f"sampled min eigenvalue {eig_min:.6g} vs declared floor {prof.ellipticity}",
+        )
+    )
+
+    # A3: tensor-grid trapezoid moments of the initial density.
+    grid = build_grid(d, domain_radius, 301 if d == 1 else (101 if d == 2 else 41))
+    dens = _require_finite(model.initial_density(grid.coords), "initial_density", grid.coords)
+    moments = np.array([float(np.sum(grid.trap_weights * grid.node_radii ** (2 * k) * dens))
+                        for k in range(1, prof.moment_order + 1)])
+    checks.append(
+        AssumptionCheck(
+            "A3 initial moments",
+            bool(np.all(np.isfinite(moments))),
+            f"orders 2..{2 * prof.moment_order}: {np.array2string(moments, precision=4)}",
+        )
+    )
+
+    envelope = prof.growth_bound * (1 + np.linalg.norm(x, axis=1) ** (2 * prof.growth_order))
+    for phi in test_functions:
+        vals = np.abs(_require_finite(phi(x), f"test function {phi.label}", x))
+        ok = bool(np.all(vals <= envelope * 1.01))
+        checks.append(
+            AssumptionCheck(
+                f"A4 growth of {phi.label}",
+                ok,
+                f"max |phi|/envelope = {float(np.max(vals / envelope)):.4g}",
+            )
+        )
+
+    return ValidationReport(
+        domain_radius=domain_radius,
+        sampled_lipschitz=sampled_lip,
+        sampled_eig_min=eig_min,
+        moments=moments,
+        checks=checks,
+    )

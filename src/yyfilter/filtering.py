@@ -70,11 +70,12 @@ def estimate(field: DensityField, phi: TestFunction) -> float:
     """Normalized readout: integral of phi against the field over its mass.
 
     Both integrals share the field's log_scale, so the ratio is a plain
-    mantissa division.
+    mantissa division.  Raises MassCollapseError, as run_filter does, when
+    the mantissa mass is not at least 1e-300 (NaN included).
     """
     mass = integrate(field)
-    if mass <= 0:
-        raise MassCollapseError("field has zero mass; estimate undefined")
+    if not mass >= 1e-300:
+        raise MassCollapseError(f"field mass {mass:g} collapsed; estimate undefined")
     return integrate(field, phi(field.grid.coords)) / mass
 
 

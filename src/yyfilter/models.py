@@ -10,7 +10,7 @@ with an integrated observation process
 
 where V and W are independent standard Brownian motions and X_0 has
 density sigma0.  Models carry their coefficient callbacks plus the
-declared regularity constants consumed by :func:`validate_assumptions`.
+declared regularity constants consumed by :func:`diagnostics.validate_assumptions`.
 
 Coefficient callbacks are batched: they take an ``(n, d)`` array of
 points and return ``(n, d)`` (drift, observation), ``(n, d, d)``
@@ -38,10 +38,6 @@ from scipy.special import ndtri
 
 class RegistryError(KeyError):
     """Unknown benchmark model name."""
-
-
-class CoefficientError(ValueError):
-    """A coefficient callback returned a non-finite or malformed value."""
 
 
 def as_points(x) -> np.ndarray:
@@ -376,152 +372,4 @@ def builtin_model(name: str, dim: Optional[int] = None) -> FilterModel:
         initial_sampler=partial(_std_normal_sampler, d=d),
         linear=None if linear is None else linear(d),
         diffusion_matrix=np.eye(d),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Assumption validation: statistical spot checks, never symbolic.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AssumptionCheck:
-    label: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    """Per-assumption spot-check outcomes on a ball of given radius."""
-
-    domain_radius: float
-    sampled_lipschitz: float
-    sampled_eig_min: float
-    moments: np.ndarray
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self):
-        lines = [f"validation on |x| <= {self.domain_radius}:"]
-        for c in self.checks:
-            lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.label}: {c.detail}")
-        return "\n".join(lines)
-
-
-def _sample_ball(rng, n, d, radius):
-    u = rng.standard_normal((n, d))
-    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-    r = radius * rng.random(n) ** (1.0 / d)
-    return u * r[:, None]
-
-
-def _require_finite(values, name, points):
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1))
-        idx = int(bad[0, 0]) if bad.size else 0
-        raise CoefficientError(f"{name} returned a non-finite value at point {points[idx]}")
-    return values
-
-
-def validate_assumptions(
-    model: FilterModel,
-    domain_radius: float,
-    samples: int = 2000,
-    seed: int = 0,
-    test_functions: Sequence[TestFunction] = (),
-) -> ValidationReport:
-    """Spot-check the declared regularity constants by sampling.
-
-    Checks, on the ball of the given radius: the drift difference
-    quotient against the declared Lipschitz constant, the smallest
-    eigenvalue of g g^T against the declared ellipticity floor, finiteness
-    of the numerically integrated initial-density moments up to the
-    declared order, and each test function against the declared growth
-    envelope L (1 + |x|^{2m}).
-    Failures are reported in the result, not raised; non-finite
-    coefficient evaluations raise CoefficientError naming the
-    coefficient and the point.
-    """
-    if domain_radius <= 0:
-        raise ValueError("domain_radius must be positive")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    rng = np.random.default_rng(seed)
-    d = model.dim
-    prof = model.assumptions
-
-    x = _sample_ball(rng, samples, d, domain_radius)
-    y = _sample_ball(rng, samples, d, domain_radius)
-    # Nearby pairs catch local slope maxima that far pairs average away.
-    y_near = x + 1e-3 * _sample_ball(rng, samples, d, 1.0)
-
-    fx = _require_finite(model.drift(x), "drift", x)
-    _require_finite(model.observation(x), "observation", x)
-    checks = []
-
-    quotients = []
-    for yy in (y, y_near):
-        fy = _require_finite(model.drift(yy), "drift", yy)
-        gap = np.linalg.norm(x - yy, axis=1)
-        ok = gap > 1e-12
-        quotients.append(np.linalg.norm(fx - fy, axis=1)[ok] / gap[ok])
-    sampled_lip = float(np.max(np.concatenate(quotients)))
-    checks.append(
-        AssumptionCheck(
-            "A1 drift Lipschitz",
-            sampled_lip <= prof.lipschitz * 1.01,
-            f"sampled quotient {sampled_lip:.6g} vs declared {prof.lipschitz}",
-        )
-    )
-
-    a = model.constant_diffusion_sq  # (d, d), or one a per sample below
-    if a is None:
-        a = _require_finite(model.diffusion_sq(x), "diffusion_sq", x)
-    eig_min = float(np.min(a[..., 0, 0] if d == 1 else np.linalg.eigvalsh(a)[..., 0]))
-    checks.append(
-        AssumptionCheck(
-            "A2 ellipticity",
-            eig_min >= prof.ellipticity * 0.99,
-            f"sampled min eigenvalue {eig_min:.6g} vs declared floor {prof.ellipticity}",
-        )
-    )
-
-    # A3: tensor-grid trapezoid moments of the initial density.
-    from .pde import build_grid  # imported here: pde imports this module
-
-    grid = build_grid(d, domain_radius, 301 if d == 1 else (101 if d == 2 else 41))
-    dens = _require_finite(model.initial_density(grid.coords), "initial_density", grid.coords)
-    moments = np.array([float(np.sum(grid.trap_weights * grid.node_radii ** (2 * k) * dens))
-                        for k in range(1, prof.moment_order + 1)])
-    checks.append(
-        AssumptionCheck(
-            "A3 initial moments",
-            bool(np.all(np.isfinite(moments))),
-            f"orders 2..{2 * prof.moment_order}: {np.array2string(moments, precision=4)}",
-        )
-    )
-
-    envelope = prof.growth_bound * (1 + np.linalg.norm(x, axis=1) ** (2 * prof.growth_order))
-    for phi in test_functions:
-        vals = np.abs(_require_finite(phi(x), f"test function {phi.label}", x))
-        ok = bool(np.all(vals <= envelope * 1.01))
-        checks.append(
-            AssumptionCheck(
-                f"A4 growth of {phi.label}",
-                ok,
-                f"max |phi|/envelope = {float(np.max(vals / envelope)):.4g}",
-            )
-        )
-
-    return ValidationReport(
-        domain_radius=domain_radius,
-        sampled_lipschitz=sampled_lip,
-        sampled_eig_min=eig_min,
-        moments=moments,
-        checks=checks,
     )

@@ -173,7 +173,7 @@ def test_every_oracle_reads_a_label_in_any_spelling(name):
     sched = TimeSchedule(0.1, 5)
     _, obs = simulate(m, sched, seed=4)
     phis = [coordinate(0), coordinate_product(0, 1)]
-    (res,) = ORACLES[name](m, build_grid(2, 4.0, 15), sched, [obs], phis, [4], 2, 50)
+    (res,) = ORACLES[name](m, sched, [obs], phis, [4], 50)
     readers = [res.column] + ([res.stderr_column] if hasattr(res, "stderr_column") else [])
     for read in readers:
         assert read("x1*x2").shape == (sched.steps + 1,)
@@ -417,14 +417,12 @@ def test_weighted_ensemble_invariants():
 
 
 def test_fine_oracle_near_kalman(linear1d):
-    grid = build_grid(1, 6.0, 121)
-    coarse = TimeSchedule(0.25, 25)
     fine = TimeSchedule(0.25, 100)
     _, obs_fine = simulate(linear1d, fine, substeps=2, seed=19)
     kal = kalman_filter(linear1d, fine, obs_fine)
-    # the grid filter on the mesh refined twice per axis, read at the coarse knots
-    (res,) = ORACLES["fine_oracle"](linear1d, grid, fine, [obs_fine], [coordinate(0)], [19], 4,
-                                    None)
+    # the dt sweep's fine_oracle reference for a 121-node mesh: the grid filter on the
+    # mesh refined twice per axis at the simulation schedule, read at the coarse knots
+    res = run_filter(linear1d, build_grid(1, 6.0, 241), fine, obs_fine, [coordinate(0)], 4)
     est = res.column("x1")[::4]
     err = np.mean(np.abs(est[1:] - kal.means[::4][1:, 0]))
     assert err < 3e-3
@@ -445,8 +443,7 @@ _CONSUMERS = {
     "bootstrap_pf": lambda m, s, obs: bootstrap_pf(m, s, obs, [coordinate(0)], 50, seed=1),
     "ks_monte_carlo": lambda m, s, obs: ks_monte_carlo(m, s, obs, [coordinate(0)], 50, seed=1),
     **{
-        f"ORACLES[{name}]": lambda m, s, obs, fn=fn: fn(
-            m, build_grid(1, 4.0, 41), s, [obs], [coordinate(0)], [2], 4, 50)
+        f"ORACLES[{name}]": lambda m, s, obs, fn=fn: fn(m, s, [obs], [coordinate(0)], [2], 50)
         for name, fn in ORACLES.items()
     },
 }
@@ -739,18 +736,16 @@ def test_concurrent_particle_filters_keep_their_own_streams():
 
 
 def test_ks_oracle_ignores_the_filter_substeps(linear1d):
-    # the table's `substeps` is the grid filter's stage count; the particles keep PATH_SUBSTEPS
+    # the table takes no grid-filter stage count; its KS entry runs at PATH_SUBSTEPS
     sched, seeds, phis = TimeSchedule(0.1, 5), [2, 3], [coordinate(0)]
     obs = [ys for _, ys in simulate(linear1d, sched, substeps=PATH_SUBSTEPS, seed=seeds)]
-    at4, at8 = (ORACLES["ks_monte_carlo"](linear1d, None, sched, obs, phis, seeds, n, 200)
-                for n in (4, 8))
-    for seed, ys, a, b in zip(seeds, obs, at4, at8):
+    got = ORACLES["ks_monte_carlo"](linear1d, sched, obs, phis, seeds, 200)
+    for seed, ys, res in zip(seeds, obs, got):
         one = ks_monte_carlo(linear1d, sched, ys, phis, 200, substeps=PATH_SUBSTEPS,
                              seed=seed + PARTICLE_SEED_OFFSET)
-        for res in (a, b):
-            assert_array_equal(res.estimates, one.estimates)
-            assert_array_equal(res.stderr, one.stderr)
-            assert_array_equal(res.ess, one.ess)
+        assert_array_equal(res.estimates, one.estimates)
+        assert_array_equal(res.stderr, one.stderr)
+        assert_array_equal(res.ess, one.ess)
 
 
 def test_bench_copies_of_package_constants_match():

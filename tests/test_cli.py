@@ -18,9 +18,10 @@ from yyfilter import (
     run_filter,
     simulate,
 )
-from yyfilter.baselines import BASELINES, PARTICLE_SEED_OFFSET, SWEEP_ORACLES
+from yyfilter.baselines import ORACLES, PARTICLE_SEED_OFFSET
 from yyfilter.cli import main
 from yyfilter.config import CONFIG_KEYS, REQUIRED, ConfigError, load_config
+from yyfilter.diagnostics import SWEEP_ORACLES
 from yyfilter.filtering import DEFAULT_SUBSTEPS
 from yyfilter.sde import PATH_SUBSTEPS
 
@@ -308,7 +309,7 @@ def test_sweeps_need_two_seeds_other_commands_take_one(tmp_path, capsys):
 
 def test_unknown_oracle_lists_the_valid_names(tmp_path):
     for section, names in (("[sweep]\noracle = bootstrap_pf", SWEEP_ORACLES),
-                           ("[baseline]\nmethod = fine_oracle", BASELINES)):
+                           ("[baseline]\nmethod = fine_oracle", ORACLES)):
         with pytest.raises(ConfigError, match=re.escape(f"valid names: {', '.join(names)}")):
             load_config(_write(tmp_path, BASE_CONFIG + f"\n{section}\n"))
 

@@ -386,6 +386,27 @@ def test_convergence_sweep_bits_match_a_per_seed_reduction(linear1d):
         assert res.stderr[j] == np.std(gaps, ddof=1) / math.sqrt(len(seeds))
 
 
+@pytest.mark.parametrize("name", ["linear1d", "benes"])
+def test_fine_oracle_reference_is_run_filter_on_the_refined_mesh(name):
+    # fine_oracle is the grid filter on the mesh refined twice per axis (61 -> 121
+    # nodes) at the simulation schedule, bit for bit, read at every level's knots
+    model, seeds, deltas, terminal = builtin_model(name), [0, 1, 2], [0.04, 0.02, 0.01], 0.2
+    grid = build_grid(1, 6.0, 61)
+    res = convergence_sweep(model, grid, terminal, deltas, seeds=seeds, oracle="fine_oracle")
+
+    sim = TimeSchedule(terminal, round(terminal / deltas[-1]) * _ORACLE_REFINE)
+    paths = [ys for _, ys in simulate(model, sim, substeps=_PATH_SUBSTEPS, seed=seeds)]
+    refs = run_filter(model, build_grid(1, 6.0, 121), sim, paths, [coordinate(0)])
+    for j, dt in enumerate(deltas):
+        stride = sim.steps // round(terminal / dt)
+        coarse = [subsample(ys, stride) for ys in paths]
+        outs = run_filter(model, grid, coarse[0].schedule, coarse, [coordinate(0)])
+        gaps = [np.mean(np.abs(out.estimates[1:, 0] - ref.estimates[::stride, 0][1:]))
+                for out, ref in zip(outs, refs)]
+        assert res.mean_err[j] == np.mean(gaps)
+        assert res.stderr[j] == np.std(gaps, ddof=1) / math.sqrt(len(seeds))
+
+
 def _tail_fraction(values, grid, r):
     """tail_mass's formula, written out for one path's field."""
     tol = 1e-9 * grid.radius

@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from yyfilter.baselines import bootstrap_pf, ks_monte_carlo
-from yyfilter.models import TimeSchedule, builtin_model, coordinate, validate_assumptions
+from yyfilter.diagnostics import validate_assumptions
+from yyfilter.models import TimeSchedule, builtin_model, coordinate
 from yyfilter.pde import AssemblyError, assemble_generator, build_grid
 from yyfilter.sde import simulate
 

@@ -141,11 +141,19 @@ def test_estimate_odd_function_on_symmetric_field(small_setup):
     assert abs(estimate(field, coordinate(0))) < 1e-12
 
 
-def test_estimate_zero_mass_raises(small_setup):
-    model, grid, _, _ = small_setup
-    field = DensityField(grid, np.zeros(grid.n_nodes))
+def _gaussian_with_a_nan(grid):
+    v = np.exp(-0.5 * grid.coords[:, 0] ** 2)
+    v[grid.n_nodes // 2] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("values", [lambda grid: np.zeros(grid.n_nodes), _gaussian_with_a_nan],
+                         ids=["zero", "nan"])
+def test_estimate_zero_mass_raises(values):
+    # a NaN mass is refused as run_filter refuses it, not read out as a NaN estimate
+    grid = build_grid(1, 4.0, 41)
     with pytest.raises(MassCollapseError):
-        estimate(field, ONE)
+        estimate(DensityField(grid, values(grid)), ONE)
 
 
 def test_mismatched_schedule_rejected(small_setup):
@@ -278,7 +286,31 @@ def test_long_horizon_keeps_mass_representable():
     assert np.all(np.isfinite(out.mass_log_scale))
     assert np.all((out.mass_mantissa > 0) & (out.mass_mantissa <= 1))
     kal = kalman_filter(model, schedule, obs)
-    assert np.mean(np.abs(out.estimates[1:, 0] - kal.means[1:, 0])) <= 0.05 * math.sqrt(0.5)
+    gap = np.abs(out.estimates[1:, 0] - kal.means[1:, 0])
+    assert np.mean(gap) <= 0.05 * math.sqrt(0.5)
+    # the error stays flat: over ten 10-unit blocks of knots 1..K, the largest block
+    # mean is at most twice the smallest (measured: 5.25e-5 to 8.39e-5, ratio 1.60)
+    blocks = gap.reshape(10, -1).mean(axis=1)
+    assert blocks.max() <= 2 * blocks.min()
+
+
+def test_wrong_prior_is_forgotten_at_the_exact_rate():
+    # Two Kalman means with one prior covariance and priors m0 apart differ by
+    # m0 exp(-int_0^t (1 + P_s) ds) on linear1d (F = -1, H = 1), path by path.  The grid
+    # filter from N(3, 1) and from the true N(0, 1) must forget the gap at that rate:
+    # the 4-path mean within 1e-3 relative (measured 4.8e-4; single paths reach 1.9e-3).
+    model = builtin_model("linear1d")
+    schedule = TimeSchedule(5.0, 5000)
+    grid = build_grid(1, 8.0, 321)
+    obs = [ys for _, ys in simulate(model, schedule, substeps=4, seed=[0, 1, 2, 3])]
+    shifted = dataclasses.replace(model, initial_density=lambda p: _std_normal_density(p - 3.0))
+    wrong, true = (run_filter(m, grid, schedule, obs, [coordinate(0)], substeps=4)
+                   for m in (shifted, model))
+    gap = np.mean([w.column("x1") - t.column("x1") for w, t in zip(wrong, true)], axis=0)
+    P = kalman_filter(model, schedule, obs[0]).covs[:, 0, 0]
+    exponent = np.concatenate([[0.0], np.cumsum(0.5 * (2 + P[1:] + P[:-1]) * schedule.dt)])
+    for k in (1000, 2000, 5000):  # t = 1, 2, 5
+        assert gap[k] == pytest.approx(3 * math.exp(-exponent[k]), rel=1e-3)
 
 
 def test_3d_filter_batch_tracks_kalman():

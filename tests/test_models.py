@@ -18,9 +18,9 @@ from yyfilter.models import (
     coordinate_product,
     parse_test_function,
     squared_coordinate,
-    validate_assumptions,
 )
 from yyfilter.models import _std_normal_density
+from yyfilter.diagnostics import validate_assumptions
 
 
 def test_registry_linear1d():
