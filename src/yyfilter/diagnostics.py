@@ -3,7 +3,7 @@
 tail_mass                     density tail-mass readout
 l4_stability_check            non-explosion of reconstructed pre-update fields
 exp_moment_step_check         one-step quartic-mass amplification law
-quartic_growth_profile        deterministic L4 growth under pure propagation
+quartic_growth_profile        deterministic L4 growth: run_filter on an all-zero path
 check_dt_levels               the dt sweep's rule for its swept values
 check_radius_levels           the radius sweep's rule for its swept values
 convergence_sweep             estimate error against an oracle across dt: Kalman,
@@ -33,13 +33,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .baselines import LINEAR_ORACLES, agreement, kalman_filter
-from .filtering import DEFAULT_SUBSTEPS, run_filter
+from .filtering import DEFAULT_SUBSTEPS, MassCollapseError, run_filter
 from .models import FilterModel, TestFunction, TimeSchedule, coordinate
-from .pde import (
-    DensityField, Grid, _batch_exponent, assemble_generator, build_grid, discretize_initial,
-    integrate, propagate,
-)
-from .sde import simulate, subsample
+from .pde import DensityField, Grid, assemble_generator, build_grid, discretize_initial, integrate
+from .sde import ObservationPath, simulate, subsample
 from .tables import csv_table
 
 
@@ -53,7 +50,7 @@ def tail_mass(field: DensityField, r: float):
 
     Trapezoid integral over the region: nodes exactly on the probe
     radius count with half weight, matching the [r, R] trapezoid rule
-    when r falls on a node.
+    when r falls on a node.  A mass not >= 1e-300 raises MassCollapseError.
     """
     grid = field.grid
     if not 0 < r <= grid.radius:
@@ -62,7 +59,12 @@ def tail_mass(field: DensityField, r: float):
     region = np.where(
         grid.node_radii > r + tol, 1.0, np.where(grid.node_radii >= r - tol, 0.5, 0.0)
     )
-    return integrate(field, region) / integrate(field)
+    mass = integrate(field)
+    low = np.ravel(~(mass >= 1e-300))  # a NaN mass is refused too
+    if low.any():
+        where = f" in column {low.argmax()}" if np.ndim(mass) else ""
+        raise MassCollapseError(f"field mass collapsed{where}; tail mass undefined")
+    return integrate(field, region) / mass
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def _reconstructed_log_norms(field: DensityField, h_nodes: np.ndarray, y_prev: n
     y its row of the (S, d) `y_prev`.  Each sum of exp(p (log v - h^T y)) is shifted
     by its largest term, so none underflows as v^p can; no support reads -inf."""
     with np.errstate(divide="ignore"):
-        logs = np.log(field.values) - _batch_exponent(h_nodes, y_prev)
+        logs = np.log(field.values) - h_nodes @ y_prev.T
         out = []
         for p in (2, 4):
             expo = p * logs
@@ -235,19 +237,20 @@ def quartic_growth_profile(
     """L4 norm (to the fourth) of a field under pure propagation.
 
     Returns (times, values) with values[0] taken from the mollified
-    initial density; used for deterministic growth-envelope checks.
+    initial density; used for deterministic growth-envelope checks.  It runs
+    run_filter on an all-zero path (each update is exp(0) = 1), under its checks.
     """
-    gen = assemble_generator(model, grid)
-    field = discretize_initial(model, grid)
+    schedule = TimeSchedule(total_time, steps)
     w = grid.trap_weights
-    dt = total_time / steps
-    times = np.arange(steps + 1) * total_time / steps
-    vals = np.empty(steps + 1)
-    vals[0] = float(np.dot(w, field.values**4))
-    for j in range(1, steps + 1):
-        field = propagate(gen, field, dt, substeps)
-        vals[j] = float(np.dot(w, field.values**4)) * math.exp(4 * field.log_scale)
-    return times, vals
+    vals = [float(np.dot(w, discretize_initial(model, grid).values**4))]
+
+    def hook(k, stage, fld):
+        if stage == "updated":
+            vals.append(float(np.dot(w, fld.values**4)) * math.exp(4 * fld.log_scale))
+
+    still = ObservationPath(schedule, np.zeros((steps + 1, model.dim)))
+    run_filter(model, grid, schedule, still, (), substeps=substeps, field_hook=hook)
+    return np.arange(steps + 1) * total_time / steps, np.array(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -40,16 +40,6 @@ class RegistryError(KeyError):
     """Unknown benchmark model name."""
 
 
-def as_points(x) -> np.ndarray:
-    """Promote a single point to a (1, d) batch; pass batches through."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return x.reshape(1, 1)
-    if x.ndim == 1:
-        return x[None, :]
-    return x
-
-
 @dataclass(frozen=True)
 class AssumptionProfile:
     """Declared regularity constants for one filtering system.
@@ -141,7 +131,7 @@ class FilterModel:
 
         A declared `diffusion_matrix` gives its one a, broadcast read-only over the batch.
         """
-        points = as_points(points)
+        points = np.asarray(points, dtype=float)
         a = self.constant_diffusion_sq
         if a is not None:
             return np.broadcast_to(a, (len(points), self.dim, self.dim))
@@ -197,7 +187,7 @@ class TestFunction:
         return "*".join(names) or "1"
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = as_points(points)
+        points = np.asarray(points, dtype=float)
         if not self.indices:
             return np.ones(points.shape[0])
         out = points[:, self.indices[0]]

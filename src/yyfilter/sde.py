@@ -137,6 +137,7 @@ def observation_increments(path: ObservationPath, schedule: TimeSchedule) -> np.
 
 def subsample(path, stride: int):
     """Restrict a path to every stride-th knot (coarser schedule)."""
+    check_count("stride", stride)
     if path.schedule.steps % stride:
         raise ValueError("stride must divide the number of steps")
     coarse = TimeSchedule(path.schedule.terminal, path.schedule.steps // stride)

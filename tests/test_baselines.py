@@ -35,7 +35,9 @@ from yyfilter.models import (
     _std_normal_density,
 )
 from yyfilter.pde import build_grid
-from yyfilter.sde import PATH_SUBSTEPS, ObservationPath, _rng_for, observation_increments, simulate
+from yyfilter.sde import (
+    PATH_SUBSTEPS, ObservationPath, _rng_for, observation_increments, simulate, subsample,
+)
 
 
 def _zero_vec(points):
@@ -636,8 +638,9 @@ _SHORT = TimeSchedule(0.1, 5)
      r"n_particles must be an integer >= 1, not 1000\.0"),
     (lambda m, obs: bootstrap_pf(m, _SHORT, obs, [coordinate(0)], 1e3),
      r"n_particles must be an integer >= 1, not 1000\.0"),
+    (lambda m, obs: subsample(obs, 0), "stride must be an integer >= 1, not 0"),
 ], ids=["simulate", "run_filter", "ks_substeps_2.5", "ks_substeps_0", "ks_substeps_-1",
-        "ks_particles", "pf_particles"])
+        "ks_particles", "pf_particles", "subsample"])
 def test_counts_are_refused_by_name(linear1d, call, match, monkeypatch):
     _, obs = simulate(linear1d, _SHORT, seed=1)
     import yyfilter.filtering

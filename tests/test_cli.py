@@ -408,6 +408,14 @@ def test_cli_bad_config_exit_code(tmp_path):
         # the particle dt-sweep oracle is gone; the fine grid is no baseline
         ("sweep", "oracle = bootstrap_pf", "[sweep] oracle"),
         ("baseline", "method = fine_oracle", "[baseline] method"),
+        ("schedule", "terminal = 0", "[schedule] terminal"),
+        ("grid", "radius = 1", "[grid] radius"),
+        ("grid", "points = 4", "[grid] points"),
+        ("grid", "points = 3", "[grid] points"),
+        ("filter", "substeps = 0", "[filter] substeps"),
+        ("run", "seeds = 0", "[run] seeds"),
+        ("sweep", "slope_band = 1, 0.5", "[sweep] slope_band"),
+        ("sweep", "slope_band = 0.35", "[sweep] slope_band"),
     ],
 )
 def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line, field):
@@ -422,6 +430,14 @@ def test_cli_bad_numeric_field_exits_2_naming_it(tmp_path, capsys, section, line
         load_config(cfg_path)
     assert main(["filter", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_cli_missing_required_key_exits_2_naming_it(tmp_path, capsys):
+    cfg_path = _write(tmp_path, BASE_CONFIG.replace("points = 61\n", ""))
+    with pytest.raises(ConfigError, match=re.escape("field [grid] points is required")):
+        load_config(cfg_path)
+    assert main(["filter", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    assert "[grid] points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from yyfilter.diagnostics import (
     radius_sweep,
     tail_mass,
 )
-from yyfilter.filtering import run_filter
+from yyfilter.filtering import MassCollapseError, run_filter
 from yyfilter.models import TimeSchedule, builtin_model, coordinate
 from yyfilter.pde import DensityField, build_grid, discretize_initial
 from yyfilter.sde import simulate, subsample
@@ -70,6 +70,18 @@ def test_tail_mass_batch_is_each_column_bit_for_bit(dim, points):
         singles = [tail_mass(DensityField(g, c), r) for c in cols]
         assert_array_equal(tail_mass(batch, r), singles)
         assert_array_equal(tail_mass(one, r), [singles[2]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+def test_tail_mass_refuses_a_collapsed_mass(fill):
+    # refused as estimate refuses it, not read out as NaN; a batch names the column
+    g = build_grid(1, 4.0, 41)
+    with pytest.raises(MassCollapseError, match=r"mass collapsed; tail"):
+        tail_mass(DensityField(g, np.full(41, fill)), 2.0)
+    cols = np.column_stack([np.ones(41), np.full(41, fill), np.ones(41)])
+    with pytest.raises(MassCollapseError, match=r"mass collapsed in column 1;"):
+        tail_mass(DensityField(g, cols, np.zeros(3), np.zeros(3)), 2.0)
 
 
 def test_tail_mass_probe_validation(grid_1d_fine):
@@ -241,6 +253,24 @@ def test_quartic_growth_profile_contracting_drift():
     assert np.all(np.isfinite(vals))
     # contraction toward the stationary law raises the L4 norm monotonically
     assert vals[-1] > vals[0]
+
+
+@pytest.mark.parametrize("total_time, steps, match", [
+    (0.5, 0, "steps must be an integer >= 1, not 0"),
+    (0.0, 50, "terminal time must be positive and finite, not 0.0"),
+    (-0.5, 50, "terminal time must be positive and finite, not -0.5"),
+], ids=["no_steps", "zero_time", "negative_time"])
+def test_quartic_growth_profile_refuses_a_bad_schedule(total_time, steps, match):
+    grid = build_grid(1, 6.0, 61)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        quartic_growth_profile(builtin_model("linear1d"), grid, total_time, steps)
+
+
+def test_quartic_growth_profile_runs_under_the_clamp_check():
+    # the coarse 3D mesh whose Crank-Nicolson undershoot run_filter refuses
+    grid = build_grid(3, 4.0, 21)
+    with pytest.raises(MassCollapseError, match=r"clamped.*knot 1 \(t=0\.01"):
+        quartic_growth_profile(builtin_model("linearNd", dim=3), grid, 0.05, 5, substeps=4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@
 and no package import sits inside a function, where it would hide a cycle.
 `__init__.py` is exempt: its imports are the package's re-exports; so is cli's
 `from . import __version__`.
+
+There is one online loop: only pde, which defines them, and filtering name the
+online primitives `propagate` and `exp_update`, and no module but pde imports an
+underscore name from pde.
 """
 
 import ast
@@ -83,3 +87,41 @@ def test_layer_breaks_are_found():
     assert _layer_breaks("baselines", source) == [(1, "__version__"), (3, "filtering"),
                                                   (4, "cli"), (7, "tables")]
     assert _layer_breaks("cli", source) == [(4, "cli"), (7, "tables")]
+
+
+ONLINE = {"propagate", "exp_update"}
+LOOP = {"pde", "filtering"}  # where the online primitives are defined and called
+
+
+def _one_loop_breaks(module: str, source: str) -> list:
+    """(line, name) of each online primitive named outside LOOP, as a name, an
+    attribute or an import, and of each underscore name imported from pde but not in it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+            if module != "pde" and "pde" in _targets(node):
+                found.extend((node.lineno, n) for n in names if n.startswith("_"))
+        else:
+            continue
+        if module not in LOOP:
+            found.extend((node.lineno, n) for n in names if n in ONLINE)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_filter_loop_calls_the_online_primitives(path):
+    assert _one_loop_breaks(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def test_one_loop_breaks_are_found():
+    source = ("from .pde import _cn_system, integrate, propagate\nimport yyfilter.pde\n\n"
+              "def f(g, v):\n    return yyfilter.pde.exp_update(v, g.observation, 0)\n")
+    assert _one_loop_breaks("diagnostics", source) == [(1, "_cn_system"), (1, "propagate"),
+                                                       (5, "exp_update")]
+    assert _one_loop_breaks("filtering", source) == [(1, "_cn_system")]
+    assert _one_loop_breaks("pde", source) == []
